@@ -2,130 +2,42 @@ package sorting
 
 import "repro/internal/relation"
 
-// Columnar (structure-of-arrays) variants of the multi-level Radix/IntroSort
-// for the batch execution path: the key column is sorted directly — in tandem
-// with a permutation index column recording where each key came from — and
-// the payload column is permuted afterwards in one separate contiguous gather
-// pass. Per element the radix swap cycle then moves 12 bytes (8-byte key +
-// 4-byte index) instead of the 16-byte tuple, every histogram pass streams
-// over a pure uint64 column at full cache-line utilization, and the payload
-// bytes are touched exactly once, at the end, sequentially.
+// Columnar (structure-of-arrays) run generation for the batch execution path.
+// SortTuplesIntoColumns normally takes the packed path (packed.go). Its
+// fallback, for keys too wide to share a uint64 with the source index, sorts
+// the key column directly — in tandem with a permutation index column
+// recording where each key came from — and gathers the payload column
+// afterwards in one separate pass. Per element the radix swap cycle then
+// moves 12 bytes (8-byte key + 4-byte index) instead of the 16-byte tuple,
+// and every histogram pass streams over a pure uint64 column.
 //
-// All routines reuse the machinery of sort.go unchanged in structure — the
-// same digits, cutoffs, American-flag swap and IntroSort leaves — so the AoS
-// and SoA paths stay behaviourally identical (same ordering guarantees, same
-// instability) and differential tests can compare them directly.
-
-// SortColumns sorts keys in place by ascending value and permutes pays
-// alongside, so (keys[i], pays[i]) remain the same tuples before and after.
-// perm and payScratch are optional scratch buffers of at least len(keys)
-// elements (typically drawn from a memory.Lease); nil scratches allocate.
-// Like Sort it is not stable.
-func SortColumns(keys, pays []uint64, perm []int32, payScratch []uint64) {
-	n := len(keys)
-	if n < 2 {
-		return
-	}
-	if perm == nil {
-		perm = make([]int32, n)
-	}
-	perm = perm[:n]
-	if payScratch == nil {
-		payScratch = make([]uint64, n)
-	}
-	payScratch = payScratch[:n]
-
-	maxKey := maxKeyOfColumn(keys)
-	if idxBits, ok := packedIndexBits(n, maxKey); ok {
-		sortColumnsPacked(keys, pays, perm, payScratch, maxKey, idxBits)
-		return
-	}
-
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	if n <= minRadixSize {
-		leafSortCols(keys, perm)
-	} else {
-		msdRadixSortCols(keys, perm, topShift(maxKey))
-	}
-	gatherPayloads(payScratch, pays, perm)
-	copy(pays[:n], payScratch)
-}
-
-// SortColumnsInto sorts the (srcKeys, srcPays) columns by ascending key into
-// (dstKeys, dstPays), leaving the source untouched. Like SortInto, the first
-// radix digit runs as an out-of-place scatter of the key column; the payload
-// column is written exactly once by the final gather pass. perm is optional
-// scratch of at least len(srcKeys) int32s; nil allocates. Not stable.
-func SortColumnsInto(srcKeys, srcPays, dstKeys, dstPays []uint64, perm []int32) {
-	n := len(srcKeys)
-	dstKeys = dstKeys[:n]
-	dstPays = dstPays[:n]
-	if perm == nil {
-		perm = make([]int32, n)
-	}
-	perm = perm[:n]
-
-	maxKey := maxKeyOfColumn(srcKeys)
-	if idxBits, ok := packedIndexBits(n, maxKey); ok {
-		sortColumnsIntoPacked(srcKeys, srcPays, dstKeys, dstPays, maxKey, idxBits)
-		return
-	}
-
-	if n <= minRadixSize {
-		copy(dstKeys, srcKeys)
-		for i := range perm {
-			perm[i] = int32(i)
-		}
-		leafSortCols(dstKeys, perm)
-		gatherPayloads(dstPays, srcPays, perm)
-		return
-	}
-
-	shift := topShift(maxKey)
-
-	var histogram [radixBuckets]int
-	for _, k := range srcKeys {
-		histogram[int(k>>shift)&radixMask]++
-	}
-	var cursors [radixBuckets]int
-	sum := 0
-	for b := 0; b < radixBuckets; b++ {
-		cursors[b] = sum
-		sum += histogram[b]
-	}
-	bounds := cursors // start offsets survive as partition bounds
-	for i, k := range srcKeys {
-		b := int(k>>shift) & radixMask
-		dstKeys[cursors[b]] = k
-		perm[cursors[b]] = int32(i)
-		cursors[b]++
-	}
-	sortBucketsCols(dstKeys, perm, bounds[:], cursors[:], shift)
-	gatherPayloads(dstPays, srcPays, perm)
-}
+// The tandem routines reuse the machinery of sort.go unchanged in structure —
+// the same digits, cutoffs, American-flag swap and IntroSort leaves — so the
+// AoS and SoA paths stay behaviourally identical (same ordering guarantees,
+// same instability) and differential tests can compare them directly.
 
 // SortTuplesIntoColumns sorts an array-of-structs chunk into columnar form:
 // dstKeys receives the keys in ascending order and dstPays the payloads in
 // the same permutation. The AoS→SoA deinterleave is fused with the first
 // radix digit — one sequential read of the 16-byte tuples feeding 256
 // streaming key-column write cursors — so the representation change costs no
-// separate pass over the data. perm is optional scratch; nil allocates.
+// separate pass over the data. perm is optional scratch of at least len(src)
+// int32s, used only by the tandem fallback; nil allocates there.
 func SortTuplesIntoColumns(src []relation.Tuple, dstKeys, dstPays []uint64, perm []int32) {
 	n := len(src)
 	dstKeys = dstKeys[:n]
 	dstPays = dstPays[:n]
-	if perm == nil {
-		perm = make([]int32, n)
-	}
-	perm = perm[:n]
 
 	maxKey := maxKeyOf(src)
 	if idxBits, ok := packedIndexBits(n, maxKey); ok {
 		sortTuplesPacked(src, dstKeys, dstPays, maxKey, idxBits)
 		return
 	}
+
+	if perm == nil {
+		perm = make([]int32, n)
+	}
+	perm = perm[:n]
 
 	if n <= minRadixSize {
 		for i, t := range src {
@@ -162,25 +74,6 @@ func SortTuplesIntoColumns(src []relation.Tuple, dstKeys, dstPays []uint64, perm
 	for i, p := range perm {
 		dstPays[i] = src[p].Payload
 	}
-}
-
-// gatherPayloads applies the sorted permutation to the payload column in one
-// contiguous pass: dst[i] = src[perm[i]]. The writes are sequential; the
-// reads are the only random accesses the payload column ever sees.
-func gatherPayloads(dst, src []uint64, perm []int32) {
-	_ = dst[:len(perm)]
-	for i, p := range perm {
-		dst[i] = src[p]
-	}
-}
-
-// maxKeyOfColumn scans a key column for its maximum (0 for empty input).
-func maxKeyOfColumn(keys []uint64) uint64 {
-	var maxKey uint64
-	for _, k := range keys {
-		maxKey = max(maxKey, k)
-	}
-	return maxKey
 }
 
 // msdRadixSortCols is msdRadixSort on a key column with a permutation column

@@ -3,6 +3,7 @@ package sorting
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/batch"
@@ -12,7 +13,7 @@ import (
 // checkColumnsAgainstStdlib verifies a columnar sort output against the
 // stdlib baseline: identical keys in identical positions, and the
 // (key, payload) pairs a multiset-permutation of the input. The columnar
-// sorts are unstable, so payload positions within equal-key groups may
+// sort is unstable, so payload positions within equal-key groups may
 // differ from the stdlib order — SameMultiset is the right comparison.
 func checkColumnsAgainstStdlib(t *testing.T, name string, input []relation.Tuple, keys, pays []uint64) {
 	t.Helper()
@@ -33,50 +34,108 @@ func checkColumnsAgainstStdlib(t *testing.T, name string, input []relation.Tuple
 	}
 }
 
-// TestSortColumnsDifferential runs the columnar sorts against the stdlib
+// sortTuplesChecked runs SortTuplesIntoColumns into destinations and perm
+// scratch that are `slack` elements longer than the input, and checks the
+// result against the stdlib baseline, that the source is untouched and that
+// the slack past len(input) is never written.
+func sortTuplesChecked(t *testing.T, name string, input []relation.Tuple, perm []int32, slack int) {
+	t.Helper()
+	const sentinel = 0xDEADBEEF
+	n := len(input)
+	src := append([]relation.Tuple(nil), input...)
+	keys := make([]uint64, n+slack)
+	pays := make([]uint64, n+slack)
+	for i := n; i < n+slack; i++ {
+		keys[i], pays[i] = sentinel, sentinel
+	}
+	SortTuplesIntoColumns(src, keys, pays, perm)
+	checkColumnsAgainstStdlib(t, name, input, keys[:n], pays[:n])
+	if !IsSortedKeys(keys[:n]) {
+		t.Fatalf("%s: keys left unsorted", name)
+	}
+	for i := range src {
+		if src[i] != input[i] {
+			t.Fatalf("%s: SortTuplesIntoColumns modified its source at %d", name, i)
+		}
+	}
+	for i := n; i < n+slack; i++ {
+		if keys[i] != sentinel || pays[i] != sentinel {
+			t.Fatalf("%s: wrote past the input length at %d", name, i)
+		}
+	}
+}
+
+// TestSortColumnsDifferential runs the columnar sort against the stdlib
 // baseline over the adversarial distributions at sizes spanning the insertion
-// cutoff, the cache-leaf threshold and multi-level recursion.
+// cutoff, the cache-leaf threshold and multi-level recursion, with and without
+// caller-provided (oversized) scratch and destinations.
 func TestSortColumnsDifferential(t *testing.T) {
 	sizes := []int{0, 1, 3, insertionCutoff, cacheLeafTuples - 1, cacheLeafTuples + 1, 3 * cacheLeafTuples, 20000}
 	for _, n := range sizes {
 		for name, input := range adversarialDistributions(max(n, 1), int64(n)) {
 			input = input[:n]
-
-			// SortColumns: in-place over deinterleaved columns.
-			keys := make([]uint64, n)
-			pays := make([]uint64, n)
-			batch.Deinterleave(input, keys, pays)
-			SortColumns(keys, pays, nil, nil)
-			checkColumnsAgainstStdlib(t, name+"/SortColumns", input, keys, pays)
-
-			// SortColumns with caller-provided scratch.
-			batch.Deinterleave(input, keys, pays)
-			SortColumns(keys, pays, make([]int32, n+5), make([]uint64, n+5))
-			checkColumnsAgainstStdlib(t, name+"/SortColumns(scratch)", input, keys, pays)
-
-			// SortColumnsInto: out-of-place, source untouched.
-			srcKeys := make([]uint64, n)
-			srcPays := make([]uint64, n)
-			batch.Deinterleave(input, srcKeys, srcPays)
-			dstKeys := make([]uint64, n)
-			dstPays := make([]uint64, n)
-			SortColumnsInto(srcKeys, srcPays, dstKeys, dstPays, nil)
-			checkColumnsAgainstStdlib(t, name+"/SortColumnsInto", input, dstKeys, dstPays)
-			for i := range srcKeys {
-				if srcKeys[i] != input[i].Key || srcPays[i] != input[i].Payload {
-					t.Fatalf("%s: SortColumnsInto modified its source at %d", name, i)
-				}
-			}
-
-			// SortTuplesIntoColumns: fused AoS→SoA conversion and sort.
-			clear(dstKeys)
-			clear(dstPays)
-			SortTuplesIntoColumns(input, dstKeys, dstPays, nil)
-			checkColumnsAgainstStdlib(t, name+"/SortTuplesIntoColumns", input, dstKeys, dstPays)
-			if !IsSortedKeys(dstKeys) {
-				t.Fatalf("%s: SortTuplesIntoColumns left keys unsorted", name)
-			}
+			sortTuplesChecked(t, name, input, nil, 0)
+			sortTuplesChecked(t, name+"(scratch)", input, make([]int32, n+5), 3)
 		}
+	}
+}
+
+// TestSortPackedFinishingBranches drives the packed sort's finishing branches
+// that uniform inputs of a few thousand tuples never reach, and the tandem
+// fallback's radix recursion, each with a key shape whose bucket structure is
+// derived in its comment: the first digit covers the top 8 bits of
+// maxKey<<idxBits|n-1, each later level the next 8, and a bucket of 65..4096
+// values takes a wb = min(12, bits.Len(len)) bit counting scatter.
+func TestSortPackedFinishingBranches(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	shapes := []struct {
+		name string
+		n    int
+		key  func(i int) uint64
+	}{
+		// Top digit = c<<2 for four values of c: four first-level buckets of
+		// ~32K values, so the American-flag level 2 runs and leaves buckets of
+		// ~128 values for 7- and 8-bit scatters.
+		{"level2", 1 << 17, func(int) uint64 {
+			return uint64(21*rng.Intn(4))<<26 | uint64(rng.Intn(1<<24))
+		}},
+		// Uniform 32-bit keys, ~96 values per first-level bucket: 7 bits.
+		{"wide7", 96 * 256, func(int) uint64 { return uint64(rng.Uint32()) }},
+		// Uniform 32-bit keys, ~384 values per first-level bucket: 9 bits.
+		{"wide9", 384 * 256, func(int) uint64 { return uint64(rng.Uint32()) }},
+		// Top digit = c<<2 for 40 values of c: ~3300 values per first-level
+		// bucket, the full 12-bit scatter.
+		{"wide12", 1 << 17, func(int) uint64 {
+			return uint64(rng.Intn(40))<<26 | uint64(rng.Intn(1<<24))
+		}},
+		// One key repeated 200 times among uniform keys: its bucket's digit
+		// holds more than packedLeafCutoff values at every key level, so the
+		// scatter refuses and the recursion descends into the index bits.
+		{"skew-refusal", 1 << 16, func(i int) uint64 {
+			if i%327 == 0 {
+				return 0x9E3779B9
+			}
+			return uint64(rng.Uint32())
+		}},
+		// All keys 300: one first-level bucket, then 128 buckets of 1024 at
+		// shift 10, below their 11-bit width — the flag recursion finishes.
+		{"shift-below-width-flag", 1 << 17, func(int) uint64 { return 300 }},
+		// All keys 42: four first-level buckets of 32K, each split into 256
+		// buckets of 128 at shift 7, below their 8-bit width and the radix
+		// digit — the standard library finishes.
+		{"shift-below-width-stdlib", 1 << 17, func(int) uint64 { return 42 }},
+		// Full-width keys cannot pack, and four top digits leave first-level
+		// buckets of ~4096 values: the tandem key/perm fallback recurses.
+		{"tandem-level2", 1 << 14, func(int) uint64 {
+			return uint64(rng.Intn(4))<<62 | rng.Uint64()>>8
+		}},
+	}
+	for _, s := range shapes {
+		input := make([]relation.Tuple, s.n)
+		for i := range input {
+			input[i] = relation.Tuple{Key: s.key(i), Payload: uint64(i)}
+		}
+		sortTuplesChecked(t, s.name, input, nil, 0)
 	}
 }
 
@@ -100,7 +159,7 @@ func TestSortColumnsPayloadPairing(t *testing.T) {
 	}
 }
 
-// FuzzSortColumnsDifferential fuzzes the columnar sorts against the stdlib
+// FuzzSortColumnsDifferential fuzzes the columnar sort against the stdlib
 // baseline, mirroring FuzzSortDifferential.
 func FuzzSortColumnsDifferential(f *testing.F) {
 	f.Add([]byte{})
@@ -117,16 +176,7 @@ func FuzzSortColumnsDifferential(f *testing.F) {
 		for i := 0; i < n; i++ {
 			input[i] = relation.Tuple{Key: binary.LittleEndian.Uint64(data[i*8:]), Payload: uint64(i)}
 		}
-
-		keys := make([]uint64, n)
-		pays := make([]uint64, n)
-		batch.Deinterleave(input, keys, pays)
-		SortColumns(keys, pays, nil, nil)
-		checkColumnsAgainstStdlib(t, "SortColumns", input, keys, pays)
-
-		clear(keys)
-		clear(pays)
-		SortTuplesIntoColumns(input, keys, pays, nil)
-		checkColumnsAgainstStdlib(t, "SortTuplesIntoColumns", input, keys, pays)
+		sortTuplesChecked(t, "SortTuplesIntoColumns", input, nil, 0)
+		sortTuplesChecked(t, "SortTuplesIntoColumns(scratch)", input, make([]int32, n+2), 2)
 	})
 }

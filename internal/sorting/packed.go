@@ -7,7 +7,7 @@ import (
 	"repro/internal/relation"
 )
 
-// Packed fast path of the columnar sorts. The tandem key/perm sort pays for
+// Packed fast path of SortTuplesIntoColumns. The tandem key/perm sort pays for
 // its narrow elements with a second array in every swap cycle and insertion
 // shift — two cache lines touched and two bounds checks where the AoS sort
 // touches one. When the key domain leaves enough low bits free (the paper's
@@ -35,10 +35,12 @@ func packedIndexBits(n int, maxKey uint64) (idxBits int, ok bool) {
 	return idxBits, idxBits == 0 || maxKey>>(64-idxBits) == 0
 }
 
-// packedLeafCutoff is the bucket size below which the packed radix recursion
-// hands off to insertion sort. Packed values are single uint64s, so the sweet
-// spot sits far below cacheLeafTuples: measured on 2^20 uniform keys, 64 beats
-// both pdqsort leaves at 2048 (1.7x slower) and deeper recursion.
+// packedLeafCutoff is the bucket size up to which the packed radix recursion
+// always finishes in place (scatter plus insertion sort, see sortWideU64), and
+// the most values one scatter digit may hold before the scatter refuses.
+// Packed values are single uint64s, so the sweet spot sits far below
+// cacheLeafTuples: measured on 2^20 uniform keys, 64 beats both pdqsort leaves
+// at 2048 (1.7x slower) and deeper recursion.
 const packedLeafCutoff = 64
 
 // packedTopShift picks the first radix digit for packed values. Unlike the
@@ -56,19 +58,9 @@ func packedTopShift(maxPacked uint64) int {
 	return s
 }
 
-// sortPackedU64 sorts packed values with the multi-level radix scheme;
-// maxPacked bounds the values (it seeds the top digit shift).
-func sortPackedU64(packed []uint64, maxPacked uint64) {
-	if len(packed) <= minRadixSize {
-		slices.Sort(packed)
-		return
-	}
-	msdRadixSortU64(packed, packedTopShift(maxPacked))
-}
-
 // msdRadixSortU64 is msdRadixSortCols for a single packed column: one
 // histogram, prefix-sum bounds and an American-flag swap cycle per level.
-func msdRadixSortU64(packed []uint64, shift int) {
+func msdRadixSortU64(packed []uint64, shift int, sc *wideScratch) {
 	var histogram [radixBuckets]int
 	for _, p := range packed {
 		histogram[int(p>>shift)&radixMask]++
@@ -97,18 +89,14 @@ func msdRadixSortU64(packed []uint64, shift int) {
 		}
 	}
 
-	sortBucketsU64(packed, bounds[:], next[:], shift)
+	sortBucketsU64(packed, bounds[:], next[:], shift, sc)
 }
 
-// sortBucketsU64 finishes the buckets of one radix level: recurse while a
-// bucket exceeds the leaf cutoff and digits remain, insertion-sort small
-// leaves, and fall back to the standard library for the rare large bucket
-// whose digits ran out (possible only when more than packedLeafCutoff values
-// agree on every bit from shift+radixBits up — the distinct index bits keep
-// such buckets small).
-func sortBucketsU64(packed []uint64, bounds, ends []int, shift int) {
+// sortBucketsU64 finishes the buckets of one radix level with
+// sortPackedBucket.
+func sortBucketsU64(packed []uint64, bounds, ends []int, shift int, sc *wideScratch) {
 	for b := 0; b < radixBuckets; b++ {
-		sortPackedBucket(packed[bounds[b]:ends[b]], shift)
+		sortPackedBucket(packed[bounds[b]:ends[b]], shift, sc)
 	}
 }
 
@@ -169,53 +157,76 @@ func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey ui
 		packed[cursors[b]] = p
 		cursors[b]++
 	}
-	sortBucketsU64(packed, bounds[:], cursors[:], shift)
+	var sc wideScratch
+	sortBucketsU64(packed, bounds[:], cursors[:], shift, &sc)
 	for i, p := range packed {
 		dstKeys[i] = p >> idxBits
 		dstPays[i] = src[p&mask].Payload
 	}
 }
 
-// sortPackedBucket finishes one bucket left over from a radix level at shift,
-// applying the same recursion policy as sortBucketsU64.
-func sortPackedBucket(part []uint64, shift int) {
+// sortPackedBucket finishes one bucket left over from a radix level at shift.
+// A bucket of 9..4096 values takes the counting scatter when its digit fits
+// below shift; otherwise leaves are insertion-sorted, larger buckets recurse
+// while digits remain, and the rare large bucket whose digits ran out (more
+// than packedLeafCutoff values agreeing on every bit from shift up — the
+// distinct index bits keep such buckets small) falls back to the standard
+// library.
+func sortPackedBucket(part []uint64, shift int, sc *wideScratch) {
 	if len(part) < 2 {
 		return
 	}
-	if len(part) > packedLeafCutoff {
-		if len(part) <= wideBuckets && shift >= wideBits && sortWideU64(part, shift) {
-			return
-		}
-		if shift >= radixBits {
-			msdRadixSortU64(part, shift-radixBits)
-		} else {
-			slices.Sort(part)
-		}
+	wb := min(wideBits, bits.Len(uint(len(part))))
+	if len(part) > 8 && len(part) <= wideBuckets && shift >= wb && sortWideU64(part, shift, wb, sc) {
 		return
 	}
-	sortLeafU64(part, shift)
+	switch {
+	case len(part) <= packedLeafCutoff:
+		insertionSortU64(part)
+	case shift >= radixBits:
+		msdRadixSortU64(part, shift-radixBits, sc)
+	default:
+		slices.Sort(part)
+	}
 }
 
-// wideBits is the digit width of the one-shot counting scatter that finishes
-// mid-size buckets: a bucket of up to 4096 values takes a single out-of-place
-// 4096-way scatter (counter array and scratch both cache-resident) instead of
-// another American-flag level plus per-leaf sorting — three sequential passes
-// with L1-local random writes in place of the flag's dependent swap chains.
+// wideBits caps the digit width of the one-shot counting scatter that
+// finishes buckets of up to 4096 values: a single out-of-place scatter on the
+// next wb = min(wideBits, bits.Len(len)) bits — one to two counters per
+// value, counters and staging both cache-resident — instead of another
+// American-flag level plus per-leaf sorting: three sequential passes with
+// L1-local random writes in place of the flag's dependent swap chains.
+// Sizing the digit to the bucket matters because most buckets are small: at
+// 2^22 uniform keys the second radix level leaves buckets of ~64 values, on
+// which a 4096-way digit would cost ~32 counter clears and prefix-sum steps
+// per value.
 const (
 	wideBits    = 12
 	wideBuckets = 1 << wideBits
 )
 
-// sortWideU64 finishes one mid-size bucket with the wide counting scatter and
-// a near-linear insertion fix-up. It refuses (returns false, having done
-// nothing) when the digit is too skewed for the fix-up to stay near-linear —
-// more than packedLeafCutoff values sharing one digit — which sends the
-// caller down the recursive path instead.
-func sortWideU64(part []uint64, shift int) bool {
-	ws := shift - wideBits
-	var cnt [wideBuckets]int32
+// wideScratch holds the counters and staging of the finishing scatter. One
+// lives in the frame of each top-level sort and is threaded through the
+// recursion, so no bucket pays for zeroing its own arrays; each scatter
+// clears only the 1<<wb counters it uses.
+type wideScratch struct {
+	cnt [wideBuckets]int32
+	tmp [wideBuckets]uint64
+}
+
+// sortWideU64 finishes one bucket with a wb-bit counting scatter on the bits
+// just below shift (shift >= wb) and a near-linear insertion fix-up. It
+// refuses (returns false, having done nothing) when the digit is too skewed
+// for the fix-up to stay near-linear — more than packedLeafCutoff values
+// sharing one digit — which sends the caller down the recursive path instead;
+// a leaf of at most packedLeafCutoff values is therefore never refused.
+func sortWideU64(part []uint64, shift, wb int, sc *wideScratch) bool {
+	ws := shift - wb
+	mask := 1<<wb - 1
+	cnt := sc.cnt[:1<<wb]
+	clear(cnt)
 	for _, p := range part {
-		cnt[int(p>>ws)&(wideBuckets-1)]++
+		cnt[int(p>>ws)&mask]++
 	}
 	var sum, maxCnt int32
 	for b := range cnt {
@@ -229,116 +240,13 @@ func sortWideU64(part []uint64, shift int) bool {
 	if maxCnt > packedLeafCutoff {
 		return false
 	}
-	var tmp [wideBuckets]uint64
+	tmp := sc.tmp[:len(part)]
 	for _, p := range part {
-		b := int(p>>ws) & (wideBuckets - 1)
+		b := int(p>>ws) & mask
 		tmp[cnt[b]] = p
 		cnt[b]++
 	}
-	copy(part, tmp[:len(part)])
+	copy(part, tmp)
 	insertionSortU64(part)
 	return true
-}
-
-// sortLeafU64 sorts a small leaf. Pure insertion sort pays a hard-to-predict
-// branch per shifted element — ~n²/4 mispredict opportunities on a random
-// leaf — and dominated the packed sort's profile. One branch-free 16-way
-// counting scatter on the top remaining nibble first spreads the leaf nearly
-// into place, after which the insertion pass runs in near-linear time with a
-// well-predicted inner branch.
-func sortLeafU64(part []uint64, shift int) {
-	if len(part) > 8 && shift >= 4 {
-		ns := shift - 4
-		var cnt [16]int
-		var tmp [packedLeafCutoff]uint64
-		for _, p := range part {
-			cnt[int(p>>ns)&15]++
-		}
-		sum := 0
-		for b := 0; b < 16; b++ {
-			c := cnt[b]
-			cnt[b] = sum
-			sum += c
-		}
-		for _, p := range part {
-			b := int(p>>ns) & 15
-			tmp[cnt[b]] = p
-			cnt[b]++
-		}
-		copy(part, tmp[:len(part)])
-	}
-	insertionSortU64(part)
-}
-
-// sortColumnsIntoPacked is the packed path of SortColumnsInto; like
-// sortTuplesPacked it fuses packing with the first radix scatter and uses
-// dstPays as the packed scratch.
-func sortColumnsIntoPacked(srcKeys, srcPays, dstKeys, dstPays []uint64, maxKey uint64, idxBits int) {
-	n := len(srcKeys)
-	packed := dstPays
-	maxPacked := maxKey<<idxBits | uint64(n-1)
-	var mask uint64
-	if idxBits > 0 {
-		mask = uint64(1)<<idxBits - 1
-	}
-
-	if n <= minRadixSize {
-		for i, k := range srcKeys {
-			packed[i] = k<<idxBits | uint64(i)
-		}
-		slices.Sort(packed)
-		for i, p := range packed {
-			dstKeys[i] = p >> idxBits
-			dstPays[i] = srcPays[p&mask]
-		}
-		return
-	}
-
-	shift := packedTopShift(maxPacked)
-	var histogram [radixBuckets]int
-	for i, k := range srcKeys {
-		histogram[int((k<<idxBits|uint64(i))>>shift)&radixMask]++
-	}
-	var cursors [radixBuckets]int
-	sum := 0
-	for b := 0; b < radixBuckets; b++ {
-		cursors[b] = sum
-		sum += histogram[b]
-	}
-	bounds := cursors
-	for i, k := range srcKeys {
-		p := k<<idxBits | uint64(i)
-		b := int(p>>shift) & radixMask
-		packed[cursors[b]] = p
-		cursors[b]++
-	}
-	sortBucketsU64(packed, bounds[:], cursors[:], shift)
-	for i, p := range packed {
-		dstKeys[i] = p >> idxBits
-		dstPays[i] = srcPays[p&mask]
-	}
-}
-
-// sortColumnsPacked is the packed path of the in-place SortColumns: keys and
-// indices pack into payScratch, the sorted packed values unpack into keys and
-// perm, and the payload gather then reuses payScratch as its destination
-// before copying back.
-func sortColumnsPacked(keys, pays []uint64, perm []int32, payScratch []uint64, maxKey uint64, idxBits int) {
-	n := len(keys)
-	packed := payScratch[:n]
-	for i, k := range keys {
-		packed[i] = k<<idxBits | uint64(i)
-	}
-	sortPackedU64(packed, maxKey<<idxBits|uint64(n-1))
-
-	var mask uint64
-	if idxBits > 0 {
-		mask = uint64(1)<<idxBits - 1
-	}
-	for i, p := range packed {
-		keys[i] = p >> idxBits
-		perm[i] = int32(p & mask)
-	}
-	gatherPayloads(payScratch, pays, perm)
-	copy(pays[:n], payScratch)
 }
