@@ -158,15 +158,14 @@ func WithMorselSize(tuples int) Option {
 	return func(s *settings) { s.morselSize = tuples }
 }
 
-// WithBatchSize controls the columnar batch execution path of the inner
-// equi-join match phases: runs are generated as sorted key/payload column
-// pairs (structure-of-arrays) and the merge kernels scan contiguous key
-// columns with software prefetch, emitting matches in batches of n pairs.
-// n == 0 (the default) selects the built-in batch size of 1024 tuples; a
-// negative n disables the columnar path and runs the row-at-a-time kernels;
-// a positive n is the batch size in tuples. Band joins, non-inner kinds,
-// D-MPSM and the hash-join baselines are unaffected (though the hash joins
-// always batch their probe output). Both paths produce identical results;
+// WithBatchSize sets the match-batch capacity of the columnar equi-join
+// kernels: B-MPSM and P-MPSM generate every run as sorted key/payload column
+// pairs (structure-of-arrays), and their inner equi-join kernels emit matches
+// in batches of n pairs. n <= 0 (the default is 0) selects the built-in batch
+// size of 1024 tuples; a positive n is the batch size in tuples. Band joins
+// and the non-inner kinds run on the same column runs but deliver their
+// results one pair at a time; D-MPSM pages row runs, and the hash joins batch
+// their probe output regardless. The batch size never changes a result;
 // Result.Batch reports the batch traffic.
 func WithBatchSize(n int) Option {
 	return func(s *settings) { s.batchSize = n }

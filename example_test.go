@@ -102,25 +102,9 @@ func ExampleEngine_Join_cancellation() {
 	// context canceled
 }
 
-// ExampleJoin demonstrates the deprecated one-shot API, kept for
-// compatibility: generate a dimension table R and a fact table S whose keys
-// reference R, then run the range-partitioned MPSM join.
-func ExampleJoin() {
-	r := mpsm.GenerateUniform("R", 10_000, 1)
-	s := mpsm.GenerateForeignKey("S", r, 40_000, 2)
-
-	res, err := mpsm.Join(r, s, mpsm.Config{Algorithm: mpsm.PMPSM, Workers: 4})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(res.Matches >= 40_000)
-	// Output:
-	// true
-}
-
-// ExampleJoin_kinds demonstrates the non-inner join kinds. The semi and anti
-// join cardinalities always partition the private input.
-func ExampleJoin_kinds() {
+// ExampleEngine_Join_kinds demonstrates the non-inner join kinds. The semi
+// and anti join cardinalities always partition the private input.
+func ExampleEngine_Join_kinds() {
 	r := mpsm.GenerateSkewedWithDomain("R", 5_000, 10_000, mpsm.SkewNone, 3)
 	s := mpsm.GenerateSkewedWithDomain("S", 20_000, 10_000, mpsm.SkewNone, 4)
 	engine := mpsm.New(mpsm.WithWorkers(4))

@@ -9,12 +9,12 @@
 // so an array-of-structs walk wastes half of every cache line and half of the
 // effective memory bandwidth. Splitting the columns lets the sort move 8-byte
 // keys (plus a 4-byte permutation index) instead of 16-byte tuples, lets the
-// merge kernel scan a contiguous key column with software prefetch, and lets
-// selections run branch-free over raw uint64 lanes, emitting selection
-// vectors instead of calling a predicate per tuple.
+// merge kernel scan a contiguous key column, and lets selections run
+// branch-free over raw uint64 lanes, emitting selection vectors instead of
+// calling a predicate per tuple.
 //
 // Column buffers are leased from the engine's scratch pool (internal/memory)
-// like every other hot-path buffer, so the columnar path stays allocation-free
+// like every other hot-path buffer, so columnar execution stays allocation-free
 // in steady state. Match emission is batched: kernels collect (private,
 // public) index pairs into a Pairs buffer and gather keys and payloads into a
 // Columns triple only when the batch fills, which is when the sink boundary
@@ -31,11 +31,10 @@ import (
 // typical 32–48 KiB L1 data cache while amortizing the per-batch sink call.
 const DefaultSize = 1024
 
-// Size normalizes a configured batch size: 0 selects DefaultSize, negative
-// values disable the columnar path entirely (callers treat <= 0 after
-// normalization as "row-at-a-time"), and positive values are used as given.
+// Size normalizes a configured batch size: values <= 0 select DefaultSize,
+// positive values are used as given.
 func Size(configured int) int {
-	if configured == 0 {
+	if configured <= 0 {
 		return DefaultSize
 	}
 	return configured
@@ -96,21 +95,21 @@ type Pairs struct {
 }
 
 // Scratch bundles the per-worker columnar scratch of one merge kernel: the
-// index-pair buffer and the gather columns it flushes into. All buffers come
-// from the join's lease and are handed back by Close for intra-join reuse.
+// index-pair buffer and the gather columns it flushes into, plus the matched
+// bitmap of the non-inner join kinds. All buffers come from the join's lease
+// and are handed back by Close for intra-join reuse.
 type Scratch struct {
 	lease *memory.Lease
 	size  int
 	Pairs Pairs
 	Out   Columns
+	bits  []uint64
 }
 
 // NewScratch leases kernel scratch for batches of size tuples (size <= 0
 // selects DefaultSize).
 func NewScratch(size int, lease *memory.Lease) *Scratch {
-	if size <= 0 {
-		size = DefaultSize
-	}
+	size = Size(size)
 	return &Scratch{
 		lease: lease,
 		size:  size,
@@ -126,6 +125,20 @@ func NewScratch(size int, lease *memory.Lease) *Scratch {
 // Cap returns the batch capacity in tuples.
 func (s *Scratch) Cap() int { return s.size }
 
+// Bits returns a cleared bitmap of at least n bits (bit i is word i>>6, bit
+// i&63). The buffer is leased on first use, grows as needed and stays with
+// the scratch until Close, so a worker's successive kernels share one.
+func (s *Scratch) Bits(n int) []uint64 {
+	words := (n + 63) >> 6
+	if len(s.bits) < words {
+		s.lease.PutUint64s(s.bits)
+		s.bits = s.lease.Uint64s(words)
+	}
+	b := s.bits[:words]
+	clear(b)
+	return b
+}
+
 // Close hands the scratch buffers back to the lease for reuse by the next
 // kernel of the same join.
 func (s *Scratch) Close() {
@@ -137,6 +150,7 @@ func (s *Scratch) Close() {
 	s.lease.PutUint64s(s.Out.Keys)
 	s.lease.PutUint64s(s.Out.RPayloads)
 	s.lease.PutUint64s(s.Out.SPayloads)
+	s.lease.PutUint64s(s.bits)
 	*s = Scratch{}
 }
 

@@ -11,7 +11,7 @@ import (
 func TestSize(t *testing.T) {
 	cases := []struct{ in, want int }{
 		{0, DefaultSize},
-		{-1, -1},
+		{-1, DefaultSize},
 		{1, 1},
 		{4096, 4096},
 	}

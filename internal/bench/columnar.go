@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/batch"
-	"repro/internal/mergejoin"
 	"repro/internal/relation"
 	"repro/internal/result"
 	"repro/internal/sorting"
@@ -16,7 +15,7 @@ import (
 func init() {
 	register(Experiment{
 		Name:  "columnar",
-		Title: "Columnar kernels: AoS vs SoA run generation, scalar vs branch-free selection, merge with and without prefetch",
+		Title: "Columnar kernels: AoS vs SoA run generation, scalar vs branch-free selection",
 		Run:   runColumnarExperiment,
 		JSON:  columnarJSON,
 	})
@@ -75,13 +74,6 @@ type ColumnarReport struct {
 	// maximum branch misprediction for the scalar loop).
 	Filter            []ColumnarFilterCell `json:"filter"`
 	FilterSpeedupAt50 float64              `json:"filter_speedup_at_50"`
-
-	// Merge kernel scanning the public run with software prefetch
-	// (PrefetchDistance ahead) vs without. No strict acceptance: the win
-	// depends on whether the public column misses cache on the host.
-	MergeNoPrefetchMillis float64 `json:"merge_no_prefetch_millis"`
-	MergePrefetchMillis   float64 `json:"merge_prefetch_millis"`
-	PrefetchSpeedup       float64 `json:"prefetch_speedup"`
 }
 
 // columnarSink defeats dead-code elimination of the measured kernels.
@@ -117,7 +109,7 @@ func scalarSelectRange(keys []uint64, lo, hi uint64, sel []int32) int {
 	return n
 }
 
-// buildColumnarReport measures the three kernel comparisons.
+// buildColumnarReport measures the two kernel comparisons.
 func buildColumnarReport(cfg Config) (*ColumnarReport, error) {
 	n := columnarSize(cfg)
 	rep := &ColumnarReport{
@@ -167,28 +159,6 @@ func buildColumnarReport(cfg Config) (*ColumnarReport, error) {
 		}
 	}
 
-	// Re-derive the sorted columns (the filter section reused pays as
-	// Deinterleave scratch).
-	sorting.SortTuplesIntoColumns(src, keys, pays, perm)
-
-	// --- Merge kernel with and without software prefetch on the public run.
-	// The private run is a narrow sorted slice, the public run the full
-	// sorted column; the kernel's public cursor streams sequentially, so the
-	// prefetch hides the next-line latency of the big column.
-	privLen := n / 8
-	privKeys, privPays := keys[:privLen], pays[:privLen]
-	var cnt mergejoin.Counter
-	sc := batch.NewScratch(0, nil)
-	noPf := bestOfKernel(func() { mergejoin.JoinColumnsPrefetch(privKeys, privPays, keys, pays, &cnt, sc, 0) })
-	pf := bestOfKernel(func() {
-		mergejoin.JoinColumnsPrefetch(privKeys, privPays, keys, pays, &cnt, sc, mergejoin.PrefetchDistance)
-	})
-	sc.Close()
-	columnarSink += cnt.Count
-	rep.MergeNoPrefetchMillis, rep.MergePrefetchMillis = millis(noPf), millis(pf)
-	if pf > 0 {
-		rep.PrefetchSpeedup = float64(noPf) / float64(pf)
-	}
 	return rep, nil
 }
 
@@ -206,8 +176,6 @@ func runColumnarExperiment(cfg Config, w io.Writer) error {
 		tbl.row(fmt.Sprintf("select %d%%", c.SelectivityPct), "scalar branchy", fmt.Sprintf("%.2f", c.ScalarMillis), "")
 		tbl.row(fmt.Sprintf("select %d%%", c.SelectivityPct), "branch-free vector", fmt.Sprintf("%.2f", c.VectorMillis), fmt.Sprintf("%.2fx", c.Speedup))
 	}
-	tbl.row("merge scan", "no prefetch", fmt.Sprintf("%.2f", rep.MergeNoPrefetchMillis), "")
-	tbl.row("merge scan", fmt.Sprintf("prefetch +%d", mergejoin.PrefetchDistance), fmt.Sprintf("%.2f", rep.MergePrefetchMillis), fmt.Sprintf("%.2fx", rep.PrefetchSpeedup))
 	tbl.flush()
 	fmt.Fprintf(w, "\n%d tuples; sort speedup %.2fx (target ≥ 1.2), filter speedup at 50%% selectivity %.2fx (target ≥ 2)\n",
 		rep.Tuples, rep.SortSpeedup, rep.FilterSpeedupAt50)

@@ -40,10 +40,6 @@ func checkColumnarReportShape(t *testing.T, rep *ColumnarReport) {
 			t.Errorf("FilterSpeedupAt50 = %v, 50%% cell says %v", rep.FilterSpeedupAt50, cell.Speedup)
 		}
 	}
-	if rep.MergeNoPrefetchMillis <= 0 || rep.MergePrefetchMillis <= 0 {
-		t.Errorf("implausible merge timings noPrefetch=%v prefetch=%v",
-			rep.MergeNoPrefetchMillis, rep.MergePrefetchMillis)
-	}
 }
 
 // TestColumnarJSONReport locks in the machine-readable columnar kernel report

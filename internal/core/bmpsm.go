@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/batch"
-	"repro/internal/mergejoin"
 	"repro/internal/relation"
 	"repro/internal/result"
 	"repro/internal/sched"
@@ -29,10 +28,9 @@ import (
 // than ownership (and the segment-level interpolation skip means
 // PublicScanned reports tuples actually scanned rather than T·|S|).
 //
-// Inner equi-joins run on the columnar batch path unless Options.BatchSize is
-// negative: runs are sorted key/payload column pairs and phase 3 scans
-// contiguous key columns with prefetched, batch-emitting kernels. Results are
-// pair-for-pair identical to the row path.
+// Runs are column runs for every join kind: sorted key columns with their
+// payload columns, scanned by the columnar kernels of internal/mergejoin
+// (see columnar.go).
 //
 // Cancellation is checked at phase boundaries and per chunk inside the sort
 // and merge loops; a canceled context aborts the join and returns ctx.Err().
@@ -50,26 +48,12 @@ func BMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 
 	publicChunks := public.Split(workers)
 	privateChunks := private.Split(workers)
-	publicRuns := make([]*relation.Run, workers)
-	privateRuns := make([]*relation.Run, workers)
-
-	// The columnar batch path covers inner equi-joins: runs are generated as
-	// sorted key/payload column pairs and the match phase scans contiguous key
-	// columns. Other join flavours fall back to the row-at-a-time path.
-	columnar := columnarEligible(opts)
-	var colPublic, colPrivate []*batch.Run
-	if columnar {
-		colPublic = make([]*batch.Run, workers)
-		colPrivate = make([]*batch.Run, workers)
-	}
+	publicRuns := make([]*batch.Run, workers)
+	privateRuns := make([]*batch.Run, workers)
 
 	// Phase 1: sort the public input chunks into runs, locally per worker.
 	phase1 := rt.Phase(ctx, "phase 1", func(ctx context.Context, w *sched.Worker) {
-		if columnar {
-			colPublic[w.ID()] = sortChunkIntoColumnRun(publicChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPublic, w, lease)
-		} else {
-			publicRuns[w.ID()] = sortChunkIntoRun(publicChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPublic, w, lease)
-		}
+		publicRuns[w.ID()] = sortChunkIntoColumnRun(publicChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPublic, w, lease)
 	})
 	res.AddPhase("phase 1", phase1)
 	if err := checkpoint(ctx, rt, lease); err != nil {
@@ -78,11 +62,7 @@ func BMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 
 	// Phase 2: sort the private input chunks into runs, locally per worker.
 	phase2 := rt.Phase(ctx, "phase 2", func(ctx context.Context, w *sched.Worker) {
-		if columnar {
-			colPrivate[w.ID()] = sortChunkIntoColumnRun(privateChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPrivate, w, lease)
-		} else {
-			privateRuns[w.ID()] = sortChunkIntoRun(privateChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPrivate, w, lease)
-		}
+		privateRuns[w.ID()] = sortChunkIntoColumnRun(privateChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPrivate, w, lease)
 	})
 	res.AddPhase("phase 2", phase2)
 	if err := checkpoint(ctx, rt, lease); err != nil {
@@ -93,77 +73,11 @@ func BMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	// runs. Remote runs are only read sequentially (commandment C2); the
 	// single synchronization point required by the algorithm — all public
 	// runs must be sorted before the join starts — is the phase barrier
-	// above. In morsel mode the same pairings run as stolen tasks instead.
+	// above. Under the static scheduler every public run is scanned in full
+	// for inner joins, B-MPSM's defining O(|S|) per-worker join work. In
+	// morsel mode the same pairings run as stolen tasks instead.
 	out := sink.BindChecked(opts.Sink, workers, lease, opts.KeyCheck)
-	scanned := make([]int, workers)
-	var phase3 time.Duration
-	switch {
-	case columnar && opts.Scheduler == sched.Morsel:
-		scratches := workerScratches(workers, opts.BatchSize, lease)
-		phase3 = rt.RunTasks(ctx, "phase 3", columnMatchTasks(ctx, colPrivate, colPublic, scanned, out, opts, scratches))
-		closeScratches(scratches)
-	case columnar:
-		phase3 = rt.Phase(ctx, "phase 3", func(ctx context.Context, w *sched.Worker) {
-			priv := colPrivate[w.ID()]
-			cons := out.Writer(w.ID())
-			tracker := w.Tracker()
-			sc := batch.NewScratch(opts.BatchSize, lease)
-			defer sc.Close()
-			// Like the row-path static mode, every public run is scanned in
-			// full — B-MPSM's defining O(|S|) per-worker join work.
-			for _, pub := range colPublic {
-				if canceled(ctx) {
-					return
-				}
-				mergejoin.JoinColumns(priv.Keys, priv.Payloads, pub.Keys, pub.Payloads, cons, sc)
-				scanned[w.ID()] += pub.Len()
-				if tracker != nil {
-					tracker.SeqRead(priv.Node, uint64(priv.Len()))
-					tracker.SeqRead(pub.Node, uint64(pub.Len()))
-				}
-			}
-		})
-	case opts.Scheduler == sched.Morsel:
-		phase3 = rt.RunTasks(ctx, "phase 3", matchTasks(ctx, privateRuns, publicRuns, scanned, out, opts))
-	default:
-		phase3 = rt.Phase(ctx, "phase 3", func(ctx context.Context, w *sched.Worker) {
-			priv := privateRuns[w.ID()]
-			cons := out.Writer(w.ID())
-			tracker := w.Tracker()
-			if opts.Band > 0 {
-				scanned[w.ID()] += mergejoin.JoinBandAgainstRunsCtx(ctx, priv.Tuples, publicRuns, opts.Band, cons)
-				if tracker != nil {
-					tracker.SeqRead(priv.Node, uint64(len(priv.Tuples))*uint64(len(publicRuns)))
-					for _, pub := range publicRuns {
-						tracker.SeqRead(pub.Node, uint64(len(pub.Tuples)))
-					}
-				}
-			} else if opts.Kind == mergejoin.Inner {
-				for _, pub := range publicRuns {
-					if canceled(ctx) {
-						return
-					}
-					mergejoin.Join(priv.Tuples, pub.Tuples, cons)
-					scanned[w.ID()] += len(pub.Tuples)
-					if tracker != nil {
-						// The private run is re-scanned once per public run
-						// (locally); the public run is scanned sequentially
-						// on whichever node it lives.
-						tracker.SeqRead(priv.Node, uint64(len(priv.Tuples)))
-						tracker.SeqRead(pub.Node, uint64(len(pub.Tuples)))
-					}
-				}
-			} else {
-				scanned[w.ID()] += mergejoin.JoinRunsKindCtx(ctx, opts.Kind, priv.Tuples, publicRuns, cons)
-				if tracker != nil {
-					tracker.SeqRead(priv.Node, uint64(len(priv.Tuples))*uint64(len(publicRuns)))
-					for _, pub := range publicRuns {
-						tracker.SeqRead(pub.Node, uint64(len(pub.Tuples)))
-					}
-				}
-			}
-		})
-	}
+	phase3, scanned := matchPhase(ctx, rt, "phase 3", privateRuns, publicRuns, out, opts, true, lease)
 	res.AddPhase("phase 3", phase3)
 	// Close runs even on cancellation (the sink lifecycle promises it); the
 	// context error still wins as the join's outcome.
@@ -185,11 +99,7 @@ func BMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	if opts.CollectPerWorker {
 		res.PerWorker = rt.Breakdowns([]string{"phase 1", "phase 2", "phase 3"})
 		for w := range res.PerWorker {
-			if columnar {
-				res.PerWorker[w].PrivateTuples = colPrivate[w].Len()
-			} else {
-				res.PerWorker[w].PrivateTuples = privateRuns[w].Len()
-			}
+			res.PerWorker[w].PrivateTuples = privateRuns[w].Len()
 			res.PerWorker[w].PublicScanned = scanned[w]
 			res.PerWorker[w].Matches = out.WorkerMatches(w)
 		}

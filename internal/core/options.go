@@ -3,6 +3,11 @@
 // with histogram/CDF-based skew handling (Sections 3.2 and 4), and the
 // disk-enabled, memory-constrained D-MPSM (Section 3.1).
 //
+// B-MPSM and P-MPSM sort their runs into key/payload column pairs and merge
+// join them with the columnar kernels of internal/mergejoin, for every join
+// kind and band join and under both schedulers (columnar.go). D-MPSM pages
+// row runs through its buffer pool.
+//
 // All variants follow the three NUMA commandments by construction:
 //
 //	C1  sorting happens only on worker-local runs,
@@ -116,15 +121,12 @@ type Options struct {
 	// public-run) pairs as its morsels and ignores this setting.
 	MorselSize int
 
-	// BatchSize controls the columnar batch execution path of the inner
-	// equi-join match phases (B-MPSM and P-MPSM, Static and Morsel): runs are
-	// generated in structure-of-arrays form (sorted key column plus permuted
-	// payload column) and the merge kernels scan contiguous key columns,
-	// emitting matches in batches of this many pairs. 0 selects the default
-	// batch size (batch.DefaultSize); a negative value disables the columnar
-	// path and keeps the row-at-a-time kernels; a positive value is the batch
-	// size in tuples. Band joins, non-inner kinds and D-MPSM always use the
-	// row path regardless of this setting.
+	// BatchSize is the match-batch capacity of the columnar equi-join
+	// kernels of B-MPSM and P-MPSM, in tuples: runs are sorted key/payload
+	// column pairs for every join kind, and the inner equi-join kernels emit
+	// matches in batches of this many pairs (band joins and the non-inner
+	// kinds emit pair by pair). Values <= 0 select batch.DefaultSize. D-MPSM
+	// pages row runs and ignores this setting.
 	BatchSize int
 
 	// Sink receives the joined tuple stream. A nil Sink selects the built-in

@@ -6,13 +6,11 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/memory"
-	"repro/internal/mergejoin"
 	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/result"
 	"repro/internal/sched"
 	"repro/internal/sink"
-	"repro/internal/sorting"
 )
 
 // PMPSM executes the range-partitioned massively parallel sort-merge join
@@ -41,6 +39,11 @@ import (
 // is processed by whoever is idle, with a preference for NUMA-local morsels.
 // Results are identical to the static mode.
 //
+// Runs are column runs for every join kind (see columnar.go): phase 1 sorts
+// the public chunks into key/payload columns, and phase 3 sorts each
+// row-scattered private partition into columns, which doubles as the AoS→SoA
+// conversion.
+//
 // Cancellation is checked at every phase boundary and once per chunk inside
 // the sort and merge loops; a canceled context aborts the join and returns
 // ctx.Err().
@@ -58,62 +61,42 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 
 	publicChunks := public.Split(workers)
 	privateChunks := private.Split(workers)
-	publicRuns := make([]*relation.Run, workers)
-
-	// The columnar batch path covers inner equi-joins; see columnar.go.
-	columnar := columnarEligible(opts)
-	var colPublic, colPrivate []*batch.Run
-	if columnar {
-		colPublic = make([]*batch.Run, workers)
-		colPrivate = make([]*batch.Run, workers)
-	}
+	publicRuns := make([]*batch.Run, workers)
+	privateRuns := make([]*batch.Run, workers)
 
 	// Phase 1: sort the public input chunks into local runs.
 	phase1 := rt.Phase(ctx, "phase 1", func(ctx context.Context, w *sched.Worker) {
-		if columnar {
-			colPublic[w.ID()] = sortChunkIntoColumnRun(publicChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPublic, w, lease)
-		} else {
-			publicRuns[w.ID()] = sortChunkIntoRun(publicChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPublic, w, lease)
-		}
+		publicRuns[w.ID()] = sortChunkIntoColumnRun(publicChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPublic, w, lease)
 	})
 	res.AddPhase("phase 1", phase1)
 	if err := checkpoint(ctx, rt, lease); err != nil {
 		return nil, err
 	}
 
-	// Phase 2: range partition the private input. The partitioning itself is
-	// row-oriented either way (it scatters the input chunks); only the S CDF
-	// bounds are read off whichever public-run representation phase 1 built.
-	var privateRuns []*relation.Run
-	var privateMaxKey uint64
+	// Phase 2: range partition the private input. The partitioning scatters
+	// the row-oriented input chunks into one row buffer per worker; the S CDF
+	// bounds are read off the public key columns.
+	var partitions [][]relation.Tuple
 	phase2 := result.StopwatchPhase(func() {
-		privateRuns, privateMaxKey = rangePartitionPrivate(ctx, rt, privateChunks, publicRuns, colPublic, opts, lease)
+		partitions = rangePartitionPrivate(ctx, rt, privateChunks, publicRuns, opts, lease)
 	})
 	res.AddPhase("phase 2", phase2)
 	if err := checkpoint(ctx, rt, lease); err != nil {
 		return nil, err
 	}
 
-	// Phase 3: sort each private range partition into a run. Phase 2 already
-	// determined the global maximum private key for its radix histograms, so
-	// the sort skips its own key-domain scan. On the columnar path the sort
+	// Phase 3: sort each private range partition into a column run. The sort
 	// doubles as the AoS→SoA conversion: the scattered partition sorts
-	// directly into a column run and its row buffer goes back to the lease.
+	// directly into the run's columns and its row buffer goes back to the
+	// lease.
 	phase3 := rt.Phase(ctx, "phase 3", func(ctx context.Context, w *sched.Worker) {
-		run := privateRuns[w.ID()]
-		if columnar {
-			n := len(run.Tuples)
-			col := batch.NewRun(run.Worker, run.Node, n, lease)
-			perm := lease.Int32s(n)
-			sorting.SortTuplesIntoColumns(run.Tuples, col.Keys, col.Payloads, perm)
-			lease.PutInt32s(perm)
-			lease.PutTuples(run.Tuples)
-			colPrivate[w.ID()] = col
-		} else {
-			sorting.SortWithMax(run.Tuples, privateMaxKey)
-		}
+		part := partitions[w.ID()]
+		run := batch.NewRun(w.ID(), opts.Topology.NodeOfWorker(w.ID()), len(part), lease)
+		sortIntoColumns(part, run, lease)
+		lease.PutTuples(part)
+		privateRuns[w.ID()] = run
 		if tracker := w.Tracker(); tracker != nil {
-			n := uint64(len(run.Tuples))
+			n := uint64(len(part))
 			tracker.RandRead(run.Node, 2*n)
 			tracker.RandWrite(run.Node, 2*n)
 		}
@@ -128,80 +111,7 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	// stream into the sink through per-worker writers (no synchronization).
 	// In morsel mode the same work runs as stolen segment morsels instead.
 	out := sink.BindChecked(opts.Sink, workers, lease, opts.KeyCheck)
-	scanned := make([]int, workers)
-	var phase4 time.Duration
-	switch {
-	case columnar && opts.Scheduler == sched.Morsel:
-		scratches := workerScratches(workers, opts.BatchSize, lease)
-		phase4 = rt.RunTasks(ctx, "phase 4", columnMatchTasks(ctx, colPrivate, colPublic, scanned, out, opts, scratches))
-		closeScratches(scratches)
-	case columnar:
-		phase4 = rt.Phase(ctx, "phase 4", func(ctx context.Context, w *sched.Worker) {
-			priv := colPrivate[w.ID()]
-			cons := out.Writer(w.ID())
-			tracker := w.Tracker()
-			sc := batch.NewScratch(opts.BatchSize, lease)
-			defer sc.Close()
-			// Like the row-path static mode, the interpolation-search skip
-			// bounds each public scan to the private run's key range.
-			for _, pub := range colPublic {
-				if canceled(ctx) {
-					return
-				}
-				n := mergejoin.JoinColumnsWithSkip(priv.Keys, priv.Payloads, pub.Keys, pub.Payloads, cons, sc)
-				scanned[w.ID()] += n
-				if tracker != nil {
-					tracker.SeqRead(priv.Node, uint64(priv.Len()))
-					tracker.SeqRead(pub.Node, uint64(n))
-				}
-			}
-		})
-	case opts.Scheduler == sched.Morsel:
-		phase4 = rt.RunTasks(ctx, "phase 4", matchTasks(ctx, privateRuns, publicRuns, scanned, out, opts))
-	default:
-		phase4 = rt.Phase(ctx, "phase 4", func(ctx context.Context, w *sched.Worker) {
-			priv := privateRuns[w.ID()]
-			cons := out.Writer(w.ID())
-			tracker := w.Tracker()
-			if opts.Band > 0 {
-				// Non-equi band join: every private tuple matches a
-				// contiguous window of each public run.
-				n := mergejoin.JoinBandAgainstRunsCtx(ctx, priv.Tuples, publicRuns, opts.Band, cons)
-				scanned[w.ID()] += n
-				if tracker != nil {
-					tracker.SeqRead(priv.Node, uint64(len(priv.Tuples))*uint64(len(publicRuns)))
-					for _, pub := range publicRuns {
-						tracker.SeqRead(pub.Node, uint64(n/len(publicRuns)))
-					}
-				}
-			} else if opts.Kind == mergejoin.Inner {
-				for _, pub := range publicRuns {
-					if canceled(ctx) {
-						return
-					}
-					n := mergejoin.JoinWithSkip(priv.Tuples, pub.Tuples, cons)
-					scanned[w.ID()] += n
-					if tracker != nil {
-						tracker.SeqRead(priv.Node, uint64(len(priv.Tuples)))
-						tracker.SeqRead(pub.Node, uint64(n))
-					}
-				}
-			} else {
-				// Non-inner kinds track per-tuple match state across all
-				// public runs, so the kernel owns the whole loop. The NUMA
-				// accounting approximates the public scans as evenly spread
-				// over the runs.
-				n := mergejoin.JoinRunsKindCtx(ctx, opts.Kind, priv.Tuples, publicRuns, cons)
-				scanned[w.ID()] += n
-				if tracker != nil {
-					tracker.SeqRead(priv.Node, uint64(len(priv.Tuples))*uint64(len(publicRuns)))
-					for _, pub := range publicRuns {
-						tracker.SeqRead(pub.Node, uint64(n/len(publicRuns)))
-					}
-				}
-			}
-		})
-	}
+	phase4, scanned := matchPhase(ctx, rt, "phase 4", privateRuns, publicRuns, out, opts, false, lease)
 	res.AddPhase("phase 4", phase4)
 	// Close runs even on cancellation: the sink was opened and its writers
 	// consumed tuples, so it must learn the execution ended. The context
@@ -238,34 +148,26 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 }
 
 // rangePartitionPrivate implements phase 2 of P-MPSM: it returns one private
-// run (still unsorted) per worker, holding exactly the tuples of that worker's
-// key range, together with the maximum private key (determined for the radix
-// histograms and reused by the phase 3 sort). On cancellation it returns
-// early with whatever it has built; the caller checks ctx after the phase and
-// discards the partial state. All parallel steps run as "phase 2" barriers on
-// the shared runtime, so the per-worker breakdown accumulates them under one
-// label. Histogram, cursor and run buffers come from the join's scratch
-// lease.
-func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks []relation.Chunk, publicRuns []*relation.Run, colPublic []*batch.Run, opts Options, lease *memory.Lease) ([]*relation.Run, uint64) {
+// partition (still unsorted) per worker, holding exactly the tuples of that
+// worker's key range. On cancellation it returns early with whatever it has
+// built; the caller checks ctx after the phase and discards the partial
+// state. All parallel steps run as "phase 2" barriers on the shared runtime,
+// so the per-worker breakdown accumulates them under one label. Histogram,
+// cursor and partition buffers come from the join's scratch lease.
+func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks []relation.Chunk, publicRuns []*batch.Run, opts Options, lease *memory.Lease) [][]relation.Tuple {
 	workers := opts.Workers
 
 	// Phase 2.1: per-run equi-height bounds merged into the global S CDF.
-	// The bounds are read off the already-sorted public runs — row or
-	// columnar, whichever representation phase 1 built — so this costs
-	// almost nothing.
+	// The bounds are read off the already-sorted public key columns, so this
+	// costs almost nothing.
 	boundsPerRun := make([][]uint64, workers)
 	runLens := make([]int, workers)
 	rt.Phase(ctx, "phase 2", func(ctx context.Context, w *sched.Worker) {
-		if colPublic != nil {
-			boundsPerRun[w.ID()] = partition.EquiHeightBoundsKeys(colPublic[w.ID()].Keys, opts.CDFBoundsPerRun)
-			runLens[w.ID()] = colPublic[w.ID()].Len()
-		} else {
-			boundsPerRun[w.ID()] = partition.EquiHeightBounds(publicRuns[w.ID()].Tuples, opts.CDFBoundsPerRun)
-			runLens[w.ID()] = publicRuns[w.ID()].Len()
-		}
+		boundsPerRun[w.ID()] = partition.EquiHeightBoundsKeys(publicRuns[w.ID()].Keys, opts.CDFBoundsPerRun)
+		runLens[w.ID()] = publicRuns[w.ID()].Len()
 	})
 	if canceled(ctx) || rt.Err() != nil {
-		return nil, 0
+		return nil
 	}
 	cdf := partition.BuildCDF(boundsPerRun, runLens)
 
@@ -286,7 +188,7 @@ func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks
 		}
 	})
 	if canceled(ctx) || rt.Err() != nil {
-		return nil, 0
+		return nil
 	}
 	var maxKey uint64
 	for _, m := range chunkMax {
@@ -304,7 +206,7 @@ func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks
 		}
 	})
 	if canceled(ctx) || rt.Err() != nil {
-		return nil, 0
+		return nil
 	}
 
 	// Phase 2.3: splitter computation, prefix sums, and the
@@ -321,17 +223,9 @@ func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks
 	}
 	ps := partition.ComputePrefixSums(histograms, sp, workers)
 
-	privateRuns := make([]*relation.Run, workers)
-	for p := 0; p < workers; p++ {
-		privateRuns[p] = &relation.Run{
-			Worker: p,
-			Node:   opts.Topology.NodeOfWorker(p),
-			Tuples: lease.Tuples(ps.Sizes[p]),
-		}
-	}
-	targets := make([][]relation.Tuple, workers)
-	for p := 0; p < workers; p++ {
-		targets[p] = privateRuns[p].Tuples
+	partitions := make([][]relation.Tuple, workers)
+	for p := range partitions {
+		partitions[p] = lease.Tuples(ps.Sizes[p])
 	}
 
 	rt.Phase(ctx, "phase 2", func(ctx context.Context, w *sched.Worker) {
@@ -339,18 +233,18 @@ func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks
 		copy(cursors, ps.Offsets[w.ID()])
 		before := lease.Ints(workers)
 		copy(before, cursors)
-		partition.Scatter(privateChunks[w.ID()].Tuples, cfg, sp, targets, cursors)
+		partition.Scatter(privateChunks[w.ID()].Tuples, cfg, sp, partitions, cursors)
 		if tracker := w.Tracker(); tracker != nil {
 			// The chunk is read sequentially from its source node; every
 			// target sub-partition is written sequentially on the target
 			// worker's node (remote, but sequential — commandments C1/C2).
 			tracker.SeqRead(chunkSourceNode(w.ID(), workers, opts.Topology), uint64(len(privateChunks[w.ID()].Tuples)))
 			for p := 0; p < workers; p++ {
-				tracker.SeqWrite(privateRuns[p].Node, uint64(cursors[p]-before[p]))
+				tracker.SeqWrite(opts.Topology.NodeOfWorker(p), uint64(cursors[p]-before[p]))
 			}
 		}
 		lease.PutInts(cursors)
 		lease.PutInts(before)
 	})
-	return privateRuns, maxKey
+	return partitions
 }

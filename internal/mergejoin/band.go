@@ -1,10 +1,24 @@
 package mergejoin
 
 import (
-	"context"
+	"math"
 
 	"repro/internal/relation"
+	"repro/internal/search"
 )
+
+// bandRange returns the key range [low, high] that matches key k within
+// band, saturating at 0 and MaxUint64.
+func bandRange(k, band uint64) (low, high uint64) {
+	if k > band {
+		low = k - band
+	}
+	high = k + band
+	if high < k {
+		high = math.MaxUint64
+	}
+	return low, high
+}
 
 // JoinBand performs a non-equi band join between two key-sorted inputs: it
 // emits every pair (r, s) with |r.Key − s.Key| <= band. With band = 0 it
@@ -23,14 +37,7 @@ func JoinBand(private, public []relation.Tuple, band uint64, out Consumer) {
 	}
 	start := 0
 	for _, r := range private {
-		low := uint64(0)
-		if r.Key > band {
-			low = r.Key - band
-		}
-		high := r.Key + band
-		if high < r.Key { // overflow: clamp to the maximum key
-			high = ^uint64(0)
-		}
+		low, high := bandRange(r.Key, band)
 		// Advance the window start: keys below low can never match this or
 		// any later private tuple (keys are non-decreasing).
 		for start < len(public) && public[start].Key < low {
@@ -43,53 +50,57 @@ func JoinBand(private, public []relation.Tuple, band uint64, out Consumer) {
 }
 
 // JoinBandAgainstRuns band joins one sorted private run against every sorted
-// public run in turn. It returns the number of public tuples that fell inside
-// the private run's extended key range and were therefore scanned.
+// public run in turn: interpolation searches narrow each run to the window
+// [min−band, max+band] of the private run's keys, and JoinBand joins the
+// window. It returns the number of public tuples in the windows.
 func JoinBandAgainstRuns(private []relation.Tuple, publicRuns []*relation.Run, band uint64, out Consumer) (publicScanned int) {
-	return JoinBandAgainstRunsCtx(context.Background(), private, publicRuns, band, out)
-}
-
-// JoinBandAgainstRunsCtx is JoinBandAgainstRuns with a cancellation check
-// between public runs — the chunk unit of the band-join merge loop. It
-// returns early (with a partial scan count) when ctx is canceled; the caller
-// is expected to discard the partial result.
-func JoinBandAgainstRunsCtx(ctx context.Context, private []relation.Tuple, publicRuns []*relation.Run, band uint64, out Consumer) (publicScanned int) {
 	if len(private) == 0 {
 		return 0
 	}
+	low, _ := bandRange(private[0].Key, band)
+	_, high := bandRange(private[len(private)-1].Key, band)
 	for _, pub := range publicRuns {
-		if Canceled(ctx) {
-			return publicScanned
-		}
-		if pub.Len() == 0 {
+		start := search.LowerBound(pub.Tuples, low)
+		end := search.UpperBound(pub.Tuples, high)
+		if start >= end {
 			continue
 		}
-		JoinBand(private, pub.Tuples, band, out)
-		// Scanned portion: the window between (minKey − band) and
-		// (maxKey + band) of the private run.
-		low := uint64(0)
-		if private[0].Key > band {
-			low = private[0].Key - band
-		}
-		high := private[len(private)-1].Key + band
-		if high < private[len(private)-1].Key {
-			high = ^uint64(0)
-		}
-		publicScanned += boundedWindow(pub.Tuples, low, high)
+		JoinBand(private, pub.Tuples[start:end], band, out)
+		publicScanned += end - start
 	}
 	return publicScanned
 }
 
-// boundedWindow returns the number of tuples of a sorted run whose key lies in
-// [low, high].
-func boundedWindow(run []relation.Tuple, low, high uint64) int {
-	start := 0
-	for start < len(run) && run[start].Key < low {
-		start++
+// JoinBandColumns is the columnar band join of one key-sorted private column
+// segment with one key-sorted public column run: it emits every pair with
+// |r − s| <= band. Interpolation searches locate the public window
+// [min−band, max+band] of the segment's keys (saturating at 0 and MaxUint64)
+// — the band counterpart of JoinColumnsWithSkip — so a segment never scans
+// the run outside its reach; inside the window a sliding start advances with
+// the private keys, giving O(|segment| + |window| + |output|). A band pair's
+// two keys differ, so pairs go out through Consume, each side with its own
+// key. It returns the number of public tuples in the window.
+func JoinBandColumns(rKeys, rPays, sKeys, sPays []uint64, band uint64, out Consumer) (publicScanned int) {
+	if len(rKeys) == 0 || len(sKeys) == 0 {
+		return 0
 	}
-	end := start
-	for end < len(run) && run[end].Key <= high {
-		end++
+	low, _ := bandRange(rKeys[0], band)
+	_, high := bandRange(rKeys[len(rKeys)-1], band)
+	start := search.LowerBoundKeys(sKeys, low)
+	end := search.UpperBoundKeys(sKeys, high)
+	if start >= end {
+		return 0
+	}
+	ws := start
+	for i, rk := range rKeys {
+		lo, hi := bandRange(rk, band)
+		for ws < end && sKeys[ws] < lo {
+			ws++
+		}
+		r := relation.Tuple{Key: rk, Payload: rPays[i]}
+		for j := ws; j < end && sKeys[j] <= hi; j++ {
+			out.Consume(r, relation.Tuple{Key: sKeys[j], Payload: sPays[j]})
+		}
 	}
 	return end - start
 }

@@ -134,21 +134,27 @@ func TestJoinBandAgainstRuns(t *testing.T) {
 	}
 }
 
+// TestBoundedWindow pins the public window JoinBandColumns searches: a single
+// private key k with band b scans exactly the public keys in [k−b, k+b].
 func TestBoundedWindow(t *testing.T) {
-	run := sortedTuples([]uint64{1, 3, 5, 7, 9}, 0)
+	keys := []uint64{1, 3, 5, 7, 9}
+	pays := make([]uint64, len(keys))
 	cases := []struct {
-		low, high uint64
+		key, band uint64
 		want      int
 	}{
-		{0, 10, 5},
-		{3, 7, 3},
-		{4, 4, 0},
-		{10, 20, 0},
+		{5, 5, 5},
+		{5, 2, 3},
+		{4, 0, 0},
+		{15, 5, 0},
 		{0, 0, 0},
 	}
 	for _, tc := range cases {
-		if got := boundedWindow(run, tc.low, tc.high); got != tc.want {
-			t.Errorf("boundedWindow(%d, %d) = %d, want %d", tc.low, tc.high, got, tc.want)
+		var c Counter
+		got := JoinBandColumns([]uint64{tc.key}, []uint64{0}, keys, pays, tc.band, &c)
+		if got != tc.want || c.Count != uint64(tc.want) {
+			t.Errorf("window of key %d band %d: scanned %d, matched %d, want %d",
+				tc.key, tc.band, got, c.Count, tc.want)
 		}
 	}
 }

@@ -1,33 +1,25 @@
 package mergejoin
 
 import (
-	"context"
-	"sync/atomic"
-
 	"repro/internal/batch"
 	"repro/internal/relation"
 	"repro/internal/search"
 )
 
-// Columnar merge-join kernels for the batch execution path. They are the
-// structure-of-arrays siblings of Join/JoinWithSkip with three hot-loop
-// differences:
+// Columnar merge-join kernels: the structure-of-arrays merge joins every
+// MPSM match phase runs on. Two hot-loop properties set them apart from a
+// row-at-a-time merge:
 //
 //   - the cursors scan contiguous uint64 key columns, so every cache line
 //     fetched carries 8 candidate keys instead of 4 interleaved key/payload
 //     pairs;
-//   - the public-run cursor runs a software prefetch PrefetchDistance keys
-//     ahead (one explicit touch per cache line), hiding the miss latency of
-//     the remote public run — the one array the paper's phase 4 reads from
-//     other NUMA partitions;
-//   - matches are emitted as (private, public) index pairs into a fixed-size
-//     batch; payloads are only touched by the gather pass that flushes a full
-//     batch to the consumer, so the match loop itself stays in the key
-//     columns.
+//   - equi-join matches are emitted as (private, public) index pairs into a
+//     fixed-size batch; payloads are only touched by the gather pass that
+//     flushes a full batch to the consumer, so the match loop itself stays
+//     in the key columns.
 //
 // Both sides may contain duplicate keys; like Join, the kernels emit the full
-// cross product of every match group, in the same order, so the columnar and
-// row paths are pair-for-pair identical.
+// cross product of every match group, in the same order.
 
 // BatchConsumer is the batch fast path of a Consumer: sinks that implement it
 // receive whole match batches as columns — the join key and both payload
@@ -36,15 +28,6 @@ import (
 type BatchConsumer interface {
 	ConsumeColumns(keys, rPayloads, sPayloads []uint64)
 }
-
-// PrefetchDistance is how many keys ahead of the public cursor the merge
-// kernel touches: 16 keys = 2 cache lines, far enough to cover DRAM latency
-// at the scan's consumption rate, near enough not to thrash the L1.
-const PrefetchDistance = 16
-
-// prefetchSink absorbs the prefetch touches so the compiler cannot eliminate
-// the ahead-of-cursor loads as dead code; it carries no meaning.
-var prefetchSink atomic.Uint64
 
 // ConsumeColumns implements BatchConsumer with a branch-free reduction: the
 // running maximum folds through the max builtin (a conditional move, not a
@@ -78,8 +61,9 @@ func (m *Materializer) ConsumeColumns(keys, rPayloads, sPayloads []uint64) {
 
 // EmitColumns delivers one match batch to a consumer: directly when the
 // consumer implements BatchConsumer, tuple by tuple otherwise. The
-// reconstruction uses the shared join key for both sides, exactly as the row
-// kernels see it.
+// reconstruction uses the shared join key for both sides, so it serves
+// equi-join matches only: band pairs and the zero public tuples of the
+// non-inner kinds go out through Consume.
 func EmitColumns(out Consumer, keys, rPayloads, sPayloads []uint64) {
 	if bc, ok := out.(BatchConsumer); ok {
 		bc.ConsumeColumns(keys, rPayloads, sPayloads)
@@ -98,13 +82,6 @@ func EmitColumns(out Consumer, keys, rPayloads, sPayloads []uint64) {
 // throwaway scratch). Columns must be shorter than 2^31 elements — indices
 // batch as int32, and runs are per-worker chunks well below that.
 func JoinColumns(rKeys, rPays, sKeys, sPays []uint64, out Consumer, sc *batch.Scratch) {
-	JoinColumnsPrefetch(rKeys, rPays, sKeys, sPays, out, sc, PrefetchDistance)
-}
-
-// JoinColumnsPrefetch is JoinColumns with an explicit prefetch distance on
-// the public cursor; prefetch <= 0 disables the ahead-of-cursor touches. The
-// benchmark harness uses it to quantify what the prefetch buys.
-func JoinColumnsPrefetch(rKeys, rPays, sKeys, sPays []uint64, out Consumer, sc *batch.Scratch, prefetch int) {
 	nR, nS := len(rKeys), len(sKeys)
 	if nR == 0 || nS == 0 {
 		return
@@ -115,33 +92,18 @@ func JoinColumnsPrefetch(rKeys, rPays, sKeys, sPays []uint64, out Consumer, sc *
 	pr, ps := sc.Pairs.R, sc.Pairs.S
 	capN := len(pr)
 	n := 0
-	var touch uint64
 
 	i, j := 0, 0
 	for i < nR && j < nS {
 		rk := rKeys[i]
-		// Advance the public cursor to the private key, touching one key per
-		// cache line PrefetchDistance ahead so the scan never waits for the
-		// line it is about to enter.
-		if prefetch > 0 {
-			for j < nS && sKeys[j] < rk {
-				if j&7 == 0 {
-					touch += sKeys[min(j+prefetch, nS-1)]
-				}
-				j++
-			}
-		} else {
-			for j < nS && sKeys[j] < rk {
-				j++
-			}
+		for j < nS && sKeys[j] < rk {
+			j++
 		}
 		if j >= nS {
 			break
 		}
 		sk := sKeys[j]
 		if rk < sk {
-			// Advance the private cursor; it is worker-local and sequential,
-			// the hardware prefetcher covers it.
 			for i < nR && rKeys[i] < sk {
 				i++
 			}
@@ -173,9 +135,6 @@ func JoinColumnsPrefetch(rKeys, rPays, sKeys, sPays []uint64, out Consumer, sc *
 	if n > 0 {
 		flushPairs(out, rKeys, rPays, sPays, pr, ps, n, sc)
 	}
-	if touch != 0 {
-		prefetchSink.Add(touch)
-	}
 }
 
 // flushPairs gathers the batched index pairs into the scratch's output
@@ -194,34 +153,22 @@ func flushPairs(out Consumer, rKeys, rPays, sPays []uint64, pr, ps []int32, n in
 	EmitColumns(out, keys, rp, sp)
 }
 
-// JoinColumnsWithSkip is JoinColumns preceded by interpolation searches on
-// the public key column, the columnar JoinWithSkip. It returns the number of
-// public tuples actually scanned.
+// JoinColumnsWithSkip is JoinColumns preceded by interpolation searches that
+// narrow the public key column to the key range the private columns cover.
+// This is the paper's phase-4 optimization: after range partitioning, a
+// private run covers only a fraction of the key domain, so most of every
+// public run is skipped without comparisons. It returns the number of public
+// tuples actually scanned, which demonstrates the |S|/T vs |S| complexity
+// difference between P-MPSM and B-MPSM.
 func JoinColumnsWithSkip(rKeys, rPays, sKeys, sPays []uint64, out Consumer, sc *batch.Scratch) (publicScanned int) {
 	if len(rKeys) == 0 || len(sKeys) == 0 {
 		return 0
 	}
-	loKey := rKeys[0]
-	hiKey := rKeys[len(rKeys)-1]
-	start := search.LowerBoundKeys(sKeys, loKey)
-	end := search.UpperBoundKeys(sKeys, hiKey)
+	start := search.LowerBoundKeys(sKeys, rKeys[0])
+	end := search.UpperBoundKeys(sKeys, rKeys[len(rKeys)-1])
 	if start >= end {
 		return 0
 	}
 	JoinColumns(rKeys, rPays, sKeys[start:end], sPays[start:end], out, sc)
 	return end - start
-}
-
-// JoinColumnRunsCtx merge joins one private column run against every public
-// column run in turn with JoinColumnsWithSkip, checking cancellation between
-// runs (the same chunk boundary as the row path). It returns the total number
-// of public tuples scanned.
-func JoinColumnRunsCtx(ctx context.Context, rKeys, rPays []uint64, publicRuns []*batch.Run, out Consumer, sc *batch.Scratch) (publicScanned int) {
-	for _, s := range publicRuns {
-		if Canceled(ctx) {
-			return publicScanned
-		}
-		publicScanned += JoinColumnsWithSkip(rKeys, rPays, s.Keys, s.Payloads, out, sc)
-	}
-	return publicScanned
 }

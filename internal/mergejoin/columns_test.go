@@ -61,11 +61,6 @@ func TestJoinColumnsMatchesRowJoin(t *testing.T) {
 			sc := batch.NewScratch(scratchSize, nil)
 			JoinColumns(rKeys, rPays, sKeys, sPays, &got, sc)
 			requireSamePairs(t, tc.name, scratchSize, want.Out, got.Out)
-
-			// Prefetch disabled must not change the output.
-			var noPf Materializer
-			JoinColumnsPrefetch(rKeys, rPays, sKeys, sPays, &noPf, batch.NewScratch(scratchSize, nil), 0)
-			requireSamePairs(t, tc.name+"/no-prefetch", scratchSize, want.Out, noPf.Out)
 		}
 	}
 }
@@ -89,8 +84,9 @@ func requireSamePairs(t *testing.T, name string, scratchSize int, want, got []Jo
 	}
 }
 
-// TestJoinColumnsWithSkipMatchesRow requires the skip variant to report the
-// same scanned count and matches as the row JoinWithSkip.
+// TestJoinColumnsWithSkipMatchesRow requires the skip variant to emit the row
+// join's pairs and to scan exactly the public tuples inside the private key
+// range.
 func TestJoinColumnsWithSkipMatchesRow(t *testing.T) {
 	// Private run covering a narrow key band in the middle of the public run.
 	rTuples := make([]relation.Tuple, 0, 64)
@@ -101,18 +97,20 @@ func TestJoinColumnsWithSkipMatchesRow(t *testing.T) {
 	sTuples, sKeys, sPays := randomSorted(20000, 10000, 3)
 
 	var want Materializer
-	wantScanned := JoinWithSkip(rTuples, sTuples, &want)
+	Join(rTuples, sTuples, &want)
+	lo := sort.Search(len(sKeys), func(i int) bool { return sKeys[i] >= 5000 })
+	hi := sort.Search(len(sKeys), func(i int) bool { return sKeys[i] > 5063 })
 
 	var got Materializer
 	gotScanned := JoinColumnsWithSkip(rKeys, rPays, sKeys, sPays, &got, nil)
-	if gotScanned != wantScanned {
-		t.Fatalf("scanned %d, want %d", gotScanned, wantScanned)
+	if gotScanned != hi-lo {
+		t.Fatalf("scanned %d, want %d", gotScanned, hi-lo)
 	}
 	requireSamePairs(t, "with-skip", 0, want.Out, got.Out)
 }
 
-// TestJoinColumnRunsCtx checks the multi-run driver against per-run row joins
-// and that cancellation stops between runs.
+// TestJoinColumnRunsCtx checks the inner multi-run kernel (JoinRunsKind with
+// Inner) against per-run row joins and that cancellation stops between runs.
 func TestJoinColumnRunsCtx(t *testing.T) {
 	rTuples, rKeys, rPays := randomSorted(400, 50, 4)
 	var runs []*batch.Run
@@ -121,11 +119,12 @@ func TestJoinColumnRunsCtx(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		sTuples, sKeys, sPays := randomSorted(300, 60, int64(5+i))
 		runs = append(runs, &batch.Run{Worker: i, Node: 0, Keys: sKeys, Payloads: sPays})
-		wantScanned += JoinWithSkip(rTuples, sTuples, &want)
+		Join(rTuples, sTuples, &want)
+		wantScanned += JoinColumnsWithSkip(rKeys, rPays, sKeys, sPays, &Counter{}, nil)
 	}
 
 	var got Materializer
-	gotScanned := JoinColumnRunsCtx(context.Background(), rKeys, rPays, runs, &got, nil)
+	gotScanned := JoinRunsKind(context.Background(), Inner, rKeys, rPays, runs, &got, nil)
 	if gotScanned != wantScanned {
 		t.Fatalf("scanned %d, want %d", gotScanned, wantScanned)
 	}
@@ -133,9 +132,11 @@ func TestJoinColumnRunsCtx(t *testing.T) {
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	var none Materializer
-	if n := JoinColumnRunsCtx(canceled, rKeys, rPays, runs, &none, nil); n != 0 || len(none.Out) != 0 {
-		t.Fatalf("canceled context still scanned %d and emitted %d pairs", n, len(none.Out))
+	for _, kind := range []Kind{Inner, LeftOuter, Semi, Anti} {
+		var none Materializer
+		if n := JoinRunsKind(canceled, kind, rKeys, rPays, runs, &none, nil); n != 0 || len(none.Out) != 0 {
+			t.Fatalf("%v: canceled context still scanned %d and emitted %d pairs", kind, n, len(none.Out))
+		}
 	}
 }
 

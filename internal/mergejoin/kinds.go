@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/batch"
 	"repro/internal/relation"
 	"repro/internal/search"
 )
@@ -49,83 +50,78 @@ func (k Kind) String() string {
 // Valid reports whether k is a known join kind.
 func (k Kind) Valid() bool { return k >= Inner && k <= Anti }
 
-// JoinRunsKind merge joins one sorted private run against all sorted public
-// runs with the requested join semantics and returns the number of public
-// tuples scanned.
+// JoinRunsKind merge joins one key-sorted private column segment against
+// every key-sorted public column run with the requested join semantics and
+// returns the number of public tuples scanned.
 //
-// For Inner it behaves exactly like JoinAgainstRuns. For the other kinds the
-// kernel tracks, per private tuple, whether any public run produced a match;
-// the unmatched/matched results are emitted after the last public run so that
-// a tuple matching only in the final run is classified correctly. Non-inner
-// results carry the zero relation.Tuple on the public side.
-func JoinRunsKind(kind Kind, private []relation.Tuple, publicRuns []*relation.Run, out Consumer) (publicScanned int) {
-	return JoinRunsKindCtx(context.Background(), kind, private, publicRuns, out)
-}
-
-// JoinRunsKindCtx is JoinRunsKind with a cancellation check between public
-// runs — the chunk unit of the merge loop. On cancellation it returns early
-// with a partial scan count and emits nothing further (the per-tuple match
-// state would be incomplete); the caller is expected to discard the partial
-// result.
-func JoinRunsKindCtx(ctx context.Context, kind Kind, private []relation.Tuple, publicRuns []*relation.Run, out Consumer) (publicScanned int) {
+// For Inner it joins the segment with each run in turn through
+// JoinColumnsWithSkip. For the other kinds it keeps a matched bitmap over the
+// segment, leased from sc (nil sc allocates a throwaway scratch): each public
+// run is narrowed to the segment's key range by interpolation search and
+// merged once, marking every private tuple that found a partner and, for
+// LeftOuter, emitting the matching pairs right away. The unmatched
+// (LeftOuter, Anti) or matched (Semi) private tuples follow after the last
+// run, so a tuple matching only in the final run is classified correctly.
+// Non-inner results carry the zero relation.Tuple on the public side, which
+// is why these kinds deliver through Consume rather than EmitColumns.
+//
+// Cancellation is checked between public runs. On cancellation the kernel
+// returns early with a partial scan count and emits nothing further (the
+// match state would be incomplete); the caller discards the partial result.
+func JoinRunsKind(ctx context.Context, kind Kind, rKeys, rPays []uint64, publicRuns []*batch.Run, out Consumer, sc *batch.Scratch) (publicScanned int) {
 	switch kind {
 	case Inner:
-		return joinAgainstRunsCtx(ctx, private, publicRuns, out)
+		for _, pub := range publicRuns {
+			if Canceled(ctx) {
+				return publicScanned
+			}
+			publicScanned += JoinColumnsWithSkip(rKeys, rPays, pub.Keys, pub.Payloads, out, sc)
+		}
+		return publicScanned
 	case LeftOuter, Semi, Anti:
 		// Handled below.
 	default:
 		panic(fmt.Sprintf("mergejoin: unknown join kind %d", int(kind)))
 	}
-	if len(private) == 0 {
+	if len(rKeys) == 0 {
 		return 0
 	}
-
-	matched := make([]bool, len(private))
+	if sc == nil {
+		sc = batch.NewScratch(0, nil)
+	}
+	matched := sc.Bits(len(rKeys))
+	lo, hi := rKeys[0], rKeys[len(rKeys)-1]
 	for _, pub := range publicRuns {
 		if Canceled(ctx) {
 			return publicScanned
 		}
-		publicScanned += markAndEmit(kind, private, matched, pub.Tuples, out)
+		start := search.LowerBoundKeys(pub.Keys, lo)
+		end := search.UpperBoundKeys(pub.Keys, hi)
+		if start >= end {
+			continue
+		}
+		markColumns(kind == LeftOuter, rKeys, rPays, pub.Keys[start:end], pub.Payloads[start:end], matched, out)
+		publicScanned += end - start
 	}
 	if Canceled(ctx) {
 		return publicScanned
 	}
-	for i, t := range private {
-		switch kind {
-		case LeftOuter, Anti:
-			if !matched[i] {
-				out.Consume(t, relation.Tuple{})
-			}
-		case Semi:
-			if matched[i] {
-				out.Consume(t, relation.Tuple{})
-			}
+	emitMatched := kind == Semi
+	for i, k := range rKeys {
+		if (matched[i>>6]>>(i&63)&1 == 1) == emitMatched {
+			out.Consume(relation.Tuple{Key: k, Payload: rPays[i]}, relation.Tuple{})
 		}
 	}
 	return publicScanned
 }
 
-// markAndEmit performs one merge pass of the private run against one public
-// run: it records which private tuples found a partner and, for LeftOuter,
-// emits the matching pairs immediately (outer join output contains all inner
-// matches). Semi and Anti joins emit nothing during the pass. It returns the
-// number of public tuples scanned after the interpolation-search skip.
-func markAndEmit(kind Kind, private []relation.Tuple, matched []bool, public []relation.Tuple, out Consumer) int {
-	if len(public) == 0 {
-		return 0
-	}
-	loKey := private[0].Key
-	hiKey := private[len(private)-1].Key
-	start := search.LowerBound(public, loKey)
-	end := search.UpperBound(public, hiKey)
-	if start >= end {
-		return 0
-	}
-	window := public[start:end]
-
+// markColumns performs one merge pass of the private columns against one
+// public window: it sets the matched bit of every private tuple that has a
+// partner and, if emit is set (LeftOuter), emits the matching pairs.
+func markColumns(emit bool, rKeys, rPays, sKeys, sPays, matched []uint64, out Consumer) {
 	i, j := 0, 0
-	for i < len(private) && j < len(window) {
-		rk, sk := private[i].Key, window[j].Key
+	for i < len(rKeys) && j < len(sKeys) {
+		rk, sk := rKeys[i], sKeys[j]
 		switch {
 		case rk < sk:
 			i++
@@ -133,25 +129,25 @@ func markAndEmit(kind Kind, private []relation.Tuple, matched []bool, public []r
 			j++
 		default:
 			iEnd := i + 1
-			for iEnd < len(private) && private[iEnd].Key == rk {
+			for iEnd < len(rKeys) && rKeys[iEnd] == rk {
 				iEnd++
 			}
 			jEnd := j + 1
-			for jEnd < len(window) && window[jEnd].Key == rk {
+			for jEnd < len(sKeys) && sKeys[jEnd] == rk {
 				jEnd++
 			}
 			for a := i; a < iEnd; a++ {
-				matched[a] = true
-				if kind == LeftOuter {
+				matched[a>>6] |= 1 << (a & 63)
+				if emit {
+					r := relation.Tuple{Key: rk, Payload: rPays[a]}
 					for b := j; b < jEnd; b++ {
-						out.Consume(private[a], window[b])
+						out.Consume(r, relation.Tuple{Key: rk, Payload: sPays[b]})
 					}
 				}
 			}
 			i, j = iEnd, jEnd
 		}
 	}
-	return end - start
 }
 
 // ReferenceJoinKind is the oracle counterpart of JoinRunsKind used by tests:

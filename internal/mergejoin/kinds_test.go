@@ -1,24 +1,42 @@
 package mergejoin
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/batch"
 	"repro/internal/relation"
 )
 
-// splitIntoRuns distributes sorted tuples round-robin into n sorted runs.
-func splitIntoRuns(tuples []relation.Tuple, n int) []*relation.Run {
-	runs := make([]*relation.Run, n)
+// columnRuns distributes sorted tuples round-robin into n sorted column runs.
+func columnRuns(tuples []relation.Tuple, n int) []*batch.Run {
+	runs := make([]*batch.Run, n)
 	for i := range runs {
-		runs[i] = &relation.Run{Worker: i}
+		runs[i] = &batch.Run{Worker: i}
 	}
 	for i, t := range tuples {
-		runs[i%n].Tuples = append(runs[i%n].Tuples, t)
+		run := runs[i%n]
+		run.Keys = append(run.Keys, t.Key)
+		run.Payloads = append(run.Payloads, t.Payload)
 	}
 	return runs
+}
+
+// columnsOf deinterleaves tuples into fresh key and payload columns.
+func columnsOf(tuples []relation.Tuple) ([]uint64, []uint64) {
+	keys := make([]uint64, len(tuples))
+	pays := make([]uint64, len(tuples))
+	batch.Deinterleave(tuples, keys, pays)
+	return keys, pays
+}
+
+// joinRunsKind runs JoinRunsKind on a row-form private run.
+func joinRunsKind(kind Kind, private []relation.Tuple, runs []*batch.Run, out Consumer) int {
+	keys, pays := columnsOf(private)
+	return JoinRunsKind(context.Background(), kind, keys, pays, runs, out, nil)
 }
 
 func TestKindString(t *testing.T) {
@@ -36,18 +54,18 @@ func TestKindString(t *testing.T) {
 func TestJoinRunsKindSmall(t *testing.T) {
 	private := []relation.Tuple{{Key: 1, Payload: 10}, {Key: 2, Payload: 20}, {Key: 3, Payload: 30}, {Key: 3, Payload: 31}}
 	public := []relation.Tuple{{Key: 2, Payload: 200}, {Key: 3, Payload: 300}, {Key: 5, Payload: 500}}
-	runs := splitIntoRuns(public, 2)
+	runs := columnRuns(public, 2)
 
 	t.Run("inner", func(t *testing.T) {
 		var m Materializer
-		JoinRunsKind(Inner, private, runs, &m)
+		joinRunsKind(Inner, private, runs, &m)
 		if len(m.Out) != 3 { // key 2 once, key 3 twice (two private duplicates)
 			t.Fatalf("inner results = %d, want 3", len(m.Out))
 		}
 	})
 	t.Run("left outer", func(t *testing.T) {
 		var m Materializer
-		JoinRunsKind(LeftOuter, private, runs, &m)
+		joinRunsKind(LeftOuter, private, runs, &m)
 		// 3 inner matches + 1 unmatched private tuple (key 1).
 		if len(m.Out) != 4 {
 			t.Fatalf("outer results = %d, want 4", len(m.Out))
@@ -64,7 +82,7 @@ func TestJoinRunsKindSmall(t *testing.T) {
 	})
 	t.Run("semi", func(t *testing.T) {
 		var m Materializer
-		JoinRunsKind(Semi, private, runs, &m)
+		joinRunsKind(Semi, private, runs, &m)
 		// Keys 2, 3, 3 have partners; each private tuple emitted once.
 		if len(m.Out) != 3 {
 			t.Fatalf("semi results = %d, want 3", len(m.Out))
@@ -72,7 +90,7 @@ func TestJoinRunsKindSmall(t *testing.T) {
 	})
 	t.Run("anti", func(t *testing.T) {
 		var m Materializer
-		JoinRunsKind(Anti, private, runs, &m)
+		joinRunsKind(Anti, private, runs, &m)
 		if len(m.Out) != 1 || m.Out[0].Key != 1 {
 			t.Fatalf("anti results = %+v, want only key 1", m.Out)
 		}
@@ -80,10 +98,10 @@ func TestJoinRunsKindSmall(t *testing.T) {
 }
 
 func TestJoinRunsKindEmptyInputs(t *testing.T) {
-	public := splitIntoRuns([]relation.Tuple{{Key: 1}}, 2)
+	public := columnRuns([]relation.Tuple{{Key: 1}}, 2)
 	for _, kind := range []Kind{Inner, LeftOuter, Semi, Anti} {
 		var c Counter
-		if n := JoinRunsKind(kind, nil, public, &c); n != 0 || c.Count != 0 {
+		if n := joinRunsKind(kind, nil, public, &c); n != 0 || c.Count != 0 {
 			t.Fatalf("%v with empty private: scanned %d, results %d", kind, n, c.Count)
 		}
 	}
@@ -93,7 +111,7 @@ func TestJoinRunsKindEmptyInputs(t *testing.T) {
 	counts := map[Kind]uint64{Inner: 0, LeftOuter: 2, Semi: 0, Anti: 2}
 	for kind, want := range counts {
 		var c Counter
-		JoinRunsKind(kind, private, nil, &c)
+		joinRunsKind(kind, private, nil, &c)
 		if c.Count != want {
 			t.Fatalf("%v with empty public: results %d, want %d", kind, c.Count, want)
 		}
@@ -106,22 +124,22 @@ func TestJoinRunsKindPanicsOnUnknownKind(t *testing.T) {
 			t.Fatal("unknown kind should panic")
 		}
 	}()
-	JoinRunsKind(Kind(42), []relation.Tuple{{Key: 1}}, nil, &Counter{})
+	joinRunsKind(Kind(42), []relation.Tuple{{Key: 1}}, nil, &Counter{})
 }
 
 func TestJoinRunsKindMatchOnlyInLastRun(t *testing.T) {
 	// A private tuple whose only partner lives in the last public run must
 	// be classified as matched (semi yes, anti no, outer no NULL row).
 	private := []relation.Tuple{{Key: 7, Payload: 70}}
-	runs := []*relation.Run{
-		{Worker: 0, Tuples: []relation.Tuple{{Key: 1}}},
-		{Worker: 1, Tuples: []relation.Tuple{{Key: 2}}},
-		{Worker: 2, Tuples: []relation.Tuple{{Key: 7, Payload: 700}}},
+	runs := []*batch.Run{
+		{Worker: 0, Keys: []uint64{1}, Payloads: []uint64{0}},
+		{Worker: 1, Keys: []uint64{2}, Payloads: []uint64{0}},
+		{Worker: 2, Keys: []uint64{7}, Payloads: []uint64{700}},
 	}
 	var semi, anti, outer Counter
-	JoinRunsKind(Semi, private, runs, &semi)
-	JoinRunsKind(Anti, private, runs, &anti)
-	JoinRunsKind(LeftOuter, private, runs, &outer)
+	joinRunsKind(Semi, private, runs, &semi)
+	joinRunsKind(Anti, private, runs, &anti)
+	joinRunsKind(LeftOuter, private, runs, &outer)
 	if semi.Count != 1 || anti.Count != 0 || outer.Count != 1 {
 		t.Fatalf("semi=%d anti=%d outer=%d, want 1/0/1", semi.Count, anti.Count, outer.Count)
 	}
@@ -140,11 +158,11 @@ func TestJoinRunsKindMatchesReference(t *testing.T) {
 		}
 		private := sortedTuples(rKeys, 100)
 		public := sortedTuples(sKeys, 900)
-		runs := splitIntoRuns(public, 4)
+		runs := columnRuns(public, 4)
 
 		for _, kind := range []Kind{Inner, LeftOuter, Semi, Anti} {
 			var got, want MaxAggregate
-			JoinRunsKind(kind, private, runs, &got)
+			joinRunsKind(kind, private, runs, &got)
 			ReferenceJoinKind(kind, private, public, &want)
 			if got.Count != want.Count || (got.Count > 0 && got.Max != want.Max) {
 				t.Fatalf("trial %d, %v: got (%d, %d), want (%d, %d)",
@@ -168,12 +186,12 @@ func TestJoinRunsKindCardinalityRelations(t *testing.T) {
 		}
 		private := sortedTuples(rKeys, 0)
 		public := sortedTuples(sKeys, 0)
-		runs := splitIntoRuns(public, 3)
+		runs := columnRuns(public, 3)
 
 		counts := map[Kind]uint64{}
 		for _, kind := range []Kind{Inner, LeftOuter, Semi, Anti} {
 			var c Counter
-			JoinRunsKind(kind, private, runs, &c)
+			joinRunsKind(kind, private, runs, &c)
 			counts[kind] = c.Count
 		}
 		if counts[Semi]+counts[Anti] != uint64(len(private)) {
@@ -183,6 +201,29 @@ func TestJoinRunsKindCardinalityRelations(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJoinRunsKindReusesScratchBitmap runs the non-inner kinds twice through
+// one scratch: the matched bitmap must come back cleared, or the second
+// call would inherit the first call's matches.
+func TestJoinRunsKindReusesScratchBitmap(t *testing.T) {
+	hit := []relation.Tuple{{Key: 4, Payload: 1}}
+	miss := []relation.Tuple{{Key: 9, Payload: 2}}
+	runs := columnRuns([]relation.Tuple{{Key: 4, Payload: 40}}, 1)
+	sc := batch.NewScratch(0, nil)
+	defer sc.Close()
+	for _, private := range [][]relation.Tuple{hit, miss} {
+		keys, pays := columnsOf(private)
+		var anti Counter
+		JoinRunsKind(context.Background(), Anti, keys, pays, runs, &anti, sc)
+		want := uint64(0)
+		if private[0].Key == 9 {
+			want = 1
+		}
+		if anti.Count != want {
+			t.Fatalf("anti join of key %d: %d results, want %d", private[0].Key, anti.Count, want)
+		}
 	}
 }
 
@@ -197,8 +238,8 @@ func TestReferenceJoinKindInnerDelegates(t *testing.T) {
 	}
 }
 
-// sortKeys is a tiny helper keeping the reference implementations honest about
-// their input expectations (sorted private/public runs).
+// TestHelpersProduceSortedRuns keeps the test helpers honest about the
+// kernels' input expectations (sorted private/public runs).
 func TestHelpersProduceSortedRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	keys := make([]uint64, 100)
@@ -209,9 +250,12 @@ func TestHelpersProduceSortedRuns(t *testing.T) {
 	if !sort.SliceIsSorted(tuples, func(i, j int) bool { return tuples[i].Key < tuples[j].Key }) {
 		t.Fatal("sortedTuples helper did not sort")
 	}
-	for _, run := range splitIntoRuns(tuples, 3) {
-		if !run.IsSorted() {
-			t.Fatal("splitIntoRuns broke the sort order")
+	for _, run := range columnRuns(tuples, 3) {
+		if !sort.SliceIsSorted(run.Keys, func(i, j int) bool { return run.Keys[i] < run.Keys[j] }) {
+			t.Fatal("columnRuns broke the sort order")
+		}
+		if len(run.Payloads) != run.Len() {
+			t.Fatal("columnRuns produced ragged columns")
 		}
 	}
 }

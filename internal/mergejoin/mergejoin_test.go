@@ -94,40 +94,39 @@ func TestJoinWithSkipMatchesJoin(t *testing.T) {
 	for i := range sKeys {
 		sKeys[i] = rng.Uint64() % (1 << 20)
 	}
-	s := sortedTuples(sKeys, 0)
+	sk, sp := columnsOf(sortedTuples(sKeys, 0))
 	// Private run covering only a narrow key band.
 	rKeys := make([]uint64, 300)
 	for i := range rKeys {
 		rKeys[i] = 1<<18 + rng.Uint64()%(1<<16)
 	}
-	r := sortedTuples(rKeys, 0)
+	rk, rp := columnsOf(sortedTuples(rKeys, 0))
 
 	var full, skip MaxAggregate
-	Join(r, s, &full)
-	scanned := JoinWithSkip(r, s, &skip)
+	JoinColumns(rk, rp, sk, sp, &full, nil)
+	scanned := JoinColumnsWithSkip(rk, rp, sk, sp, &skip, nil)
 	if full.Count != skip.Count || full.Max != skip.Max {
-		t.Fatalf("JoinWithSkip result differs: (%d, %d) vs (%d, %d)", skip.Count, skip.Max, full.Count, full.Max)
+		t.Fatalf("JoinColumnsWithSkip result differs: (%d, %d) vs (%d, %d)", skip.Count, skip.Max, full.Count, full.Max)
 	}
-	if scanned >= len(s) {
-		t.Fatalf("JoinWithSkip scanned %d of %d public tuples; expected a narrow band", scanned, len(s))
+	if scanned >= len(sk) {
+		t.Fatalf("JoinColumnsWithSkip scanned %d of %d public tuples; expected a narrow band", scanned, len(sk))
 	}
 	if scanned == 0 && full.Count > 0 {
-		t.Fatal("JoinWithSkip reported zero scanned tuples despite matches")
+		t.Fatal("JoinColumnsWithSkip reported zero scanned tuples despite matches")
 	}
 }
 
 func TestJoinWithSkipEmpty(t *testing.T) {
 	var c Counter
-	if n := JoinWithSkip(nil, sortedTuples([]uint64{1, 2}, 0), &c); n != 0 {
+	one, two := []uint64{1, 2}, []uint64{0, 0}
+	if n := JoinColumnsWithSkip(nil, nil, one, two, &c, nil); n != 0 {
 		t.Fatalf("scanned = %d, want 0", n)
 	}
-	if n := JoinWithSkip(sortedTuples([]uint64{1, 2}, 0), nil, &c); n != 0 {
+	if n := JoinColumnsWithSkip(one, two, nil, nil, &c, nil); n != 0 {
 		t.Fatalf("scanned = %d, want 0", n)
 	}
 	// Private range entirely outside the public range.
-	r := sortedTuples([]uint64{100, 200}, 0)
-	s := sortedTuples([]uint64{1, 2, 3}, 0)
-	if n := JoinWithSkip(r, s, &c); n != 0 {
+	if n := JoinColumnsWithSkip([]uint64{100, 200}, two, []uint64{1, 2, 3}, []uint64{0, 0, 0}, &c, nil); n != 0 {
 		t.Fatalf("scanned = %d, want 0 for disjoint high range", n)
 	}
 	if c.Count != 0 {
@@ -137,17 +136,15 @@ func TestJoinWithSkipEmpty(t *testing.T) {
 
 func TestJoinAgainstRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var runs []*relation.Run
 	var allS []relation.Tuple
 	for w := 0; w < 4; w++ {
 		keys := make([]uint64, 1000)
 		for i := range keys {
 			keys[i] = rng.Uint64() % 5000
 		}
-		tuples := sortedTuples(keys, uint64(w)*10000)
-		runs = append(runs, &relation.Run{Worker: w, Tuples: tuples})
-		allS = append(allS, tuples...)
+		allS = append(allS, sortedTuples(keys, uint64(w)*10000)...)
 	}
+	sort.Slice(allS, func(i, j int) bool { return allS[i].Key < allS[j].Key })
 	rKeys := make([]uint64, 800)
 	for i := range rKeys {
 		rKeys[i] = rng.Uint64() % 5000
@@ -155,10 +152,10 @@ func TestJoinAgainstRuns(t *testing.T) {
 	r := sortedTuples(rKeys, 77)
 
 	var got, want MaxAggregate
-	JoinAgainstRuns(r, runs, &got)
+	joinRunsKind(Inner, r, columnRuns(allS, 4), &got)
 	ReferenceJoin(r, allS, &want)
 	if got.Count != want.Count || got.Max != want.Max {
-		t.Fatalf("JoinAgainstRuns (count=%d max=%d) != reference (count=%d max=%d)",
+		t.Fatalf("inner JoinRunsKind against runs (count=%d max=%d) != reference (count=%d max=%d)",
 			got.Count, got.Max, want.Count, want.Max)
 	}
 }

@@ -45,9 +45,9 @@ type WorkerBreakdown struct {
 // BatchStats reports how much of the join output flowed through the columnar
 // batch fast path: Batches is the number of match batches delivered to a
 // BatchConsumer sink, Tuples the number of result pairs they carried. Both are
-// zero when the engine ran on the row-at-a-time path (or the sink had no batch
-// fast path), so the counters double as a cheap assertion that the columnar
-// plumbing was actually exercised.
+// zero when the join delivered every pair individually (band joins, non-inner
+// kinds, D-MPSM) or the sink had no batch fast path, so the counters double as
+// a cheap assertion that the batch plumbing was actually exercised.
 type BatchStats struct {
 	// Batches is the number of columnar match batches emitted.
 	Batches uint64
@@ -84,7 +84,7 @@ type Result struct {
 	PublicScanned int
 
 	// Batch reports the traffic of the columnar batch fast path; all zeros
-	// when the join ran row at a time.
+	// when the join delivered every pair individually.
 	Batch BatchStats
 
 	// Scratch reports the join's scratch-pool traffic (buffers requested,

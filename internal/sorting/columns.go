@@ -24,6 +24,19 @@ import "repro/internal/relation"
 // separate pass over the data. perm is optional scratch of at least len(src)
 // int32s, used only by the tandem fallback; nil allocates there.
 func SortTuplesIntoColumns(src []relation.Tuple, dstKeys, dstPays []uint64, perm []int32) {
+	SortTuplesIntoColumnsWith(src, dstKeys, dstPays, func(n int) []int32 {
+		if perm == nil {
+			return make([]int32, n)
+		}
+		return perm
+	})
+}
+
+// SortTuplesIntoColumnsWith is SortTuplesIntoColumns with the permutation
+// scratch supplied on demand: permFor(n) must return at least n int32s and is
+// called only when the keys are too wide for the packed path, so a caller
+// leasing from a pool pays for the buffer only on the tandem fallback.
+func SortTuplesIntoColumnsWith(src []relation.Tuple, dstKeys, dstPays []uint64, permFor func(n int) []int32) {
 	n := len(src)
 	dstKeys = dstKeys[:n]
 	dstPays = dstPays[:n]
@@ -34,10 +47,7 @@ func SortTuplesIntoColumns(src []relation.Tuple, dstKeys, dstPays []uint64, perm
 		return
 	}
 
-	if perm == nil {
-		perm = make([]int32, n)
-	}
-	perm = perm[:n]
+	perm := permFor(n)[:n]
 
 	if n <= minRadixSize {
 		for i, t := range src {

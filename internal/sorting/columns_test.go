@@ -139,6 +139,41 @@ func TestSortPackedFinishingBranches(t *testing.T) {
 	}
 }
 
+// TestSortColumnsPermOnDemand pins the scratch contract of
+// SortTuplesIntoColumnsWith: keys narrow enough to pack never ask for the
+// permutation buffer, full-width keys ask for it exactly once, with the
+// input length, and still sort correctly.
+func TestSortColumnsPermOnDemand(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, tc := range []struct {
+		name     string
+		key      func() uint64
+		wantAsks int
+	}{
+		{"packed", func() uint64 { return rng.Uint64() >> 32 }, 0},
+		{"tandem", func() uint64 { return rng.Uint64() | 1<<63 }, 1},
+	} {
+		n := 3 * cacheLeafTuples
+		input := make([]relation.Tuple, n)
+		for i := range input {
+			input[i] = relation.Tuple{Key: tc.key(), Payload: uint64(i)}
+		}
+		keys, pays := make([]uint64, n), make([]uint64, n)
+		asks := 0
+		SortTuplesIntoColumnsWith(input, keys, pays, func(m int) []int32 {
+			asks++
+			if m != n {
+				t.Fatalf("%s: permFor(%d), want %d", tc.name, m, n)
+			}
+			return make([]int32, m)
+		})
+		if asks != tc.wantAsks {
+			t.Fatalf("%s: permFor called %d times, want %d", tc.name, asks, tc.wantAsks)
+		}
+		checkColumnsAgainstStdlib(t, tc.name, input, keys, pays)
+	}
+}
+
 // TestSortColumnsPayloadPairing pins that the payload column really is
 // permuted in tandem with the keys (not merely a multiset of payloads): with
 // unique keys the pairing is fully determined.

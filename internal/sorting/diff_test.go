@@ -73,7 +73,7 @@ func checkAgainstStdlib(t *testing.T, name string, input, got []relation.Tuple) 
 	}
 }
 
-// TestSortDifferential runs Sort, SortWithMax, SortInto and SortOneLevel
+// TestSortDifferential runs Sort, SortInto and SortOneLevel
 // against the stdlib baseline over the adversarial distributions at sizes
 // spanning the insertion cutoff, the cache-leaf threshold and multi-level
 // recursion.
@@ -81,22 +81,9 @@ func TestSortDifferential(t *testing.T) {
 	sizes := []int{3, insertionCutoff, cacheLeafTuples - 1, cacheLeafTuples + 1, 3 * cacheLeafTuples, 20000}
 	for _, n := range sizes {
 		for name, input := range adversarialDistributions(n, int64(n)) {
-			maxKey := maxKeyOf(input)
-
 			work := append([]relation.Tuple(nil), input...)
 			Sort(work)
 			checkAgainstStdlib(t, name+"/Sort", input, work)
-
-			work = append(work[:0], input...)
-			SortWithMax(work, maxKey)
-			checkAgainstStdlib(t, name+"/SortWithMax", input, work)
-
-			// SortWithMax must also tolerate a loose upper bound.
-			if maxKey < math.MaxUint64/2 {
-				work = append(work[:0], input...)
-				SortWithMax(work, 2*maxKey+1)
-				checkAgainstStdlib(t, name+"/SortWithMax(loose)", input, work)
-			}
 
 			src := append([]relation.Tuple(nil), input...)
 			dst := make([]relation.Tuple, n+3) // tolerate oversized destinations
@@ -140,9 +127,6 @@ func FuzzSortDifferential(f *testing.F) {
 		SortInto(input, dst)
 		checkAgainstStdlib(t, "SortInto", input, dst)
 
-		work = append(work[:0], input...)
-		SortWithMax(work, maxKeyOf(input))
-		checkAgainstStdlib(t, "SortWithMax", input, work)
 	})
 }
 

@@ -68,18 +68,9 @@ const minRadixSize = cacheLeafTuples
 
 // Sort orders tuples in place by ascending join key using the multi-level
 // Radix/IntroSort. It is not stable; tuples with equal keys may appear in any
-// relative order. Sort determines the key domain itself with one scan; use
-// SortWithMax when the maximum key is already known.
+// relative order. Sort determines the key domain itself with one scan, from
+// which it derives the radix digits.
 func Sort(tuples []relation.Tuple) {
-	SortWithMax(tuples, maxKeyOf(tuples))
-}
-
-// SortWithMax is Sort for callers that already know (an upper bound on) the
-// maximum key in tuples, e.g. from histogram or splitter work on the same
-// data; it skips the key-max scan. maxKey must be >= every key in tuples —
-// the radix digits are derived from it, and a too-small bound would misplace
-// larger keys.
-func SortWithMax(tuples []relation.Tuple, maxKey uint64) {
 	if len(tuples) < 2 {
 		return
 	}
@@ -87,7 +78,7 @@ func SortWithMax(tuples []relation.Tuple, maxKey uint64) {
 		leafSort(tuples)
 		return
 	}
-	msdRadixSort(tuples, topShift(maxKey))
+	msdRadixSort(tuples, topShift(maxKeyOf(tuples)))
 }
 
 // SortInto sorts the tuples of src by ascending join key into dst, leaving

@@ -1,6 +1,7 @@
 package mpsm
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/mergejoin"
@@ -13,8 +14,9 @@ func TestJoinPublicAPIAllAlgorithms(t *testing.T) {
 	var want mergejoin.MaxAggregate
 	mergejoin.ReferenceJoin(r.Tuples, s.Tuples, &want)
 
-	for _, alg := range []Algorithm{PMPSM, BMPSM, DMPSM, Wisconsin, RadixHash} {
-		res, err := Join(r, s, Config{Algorithm: alg, Workers: 4})
+	engine := New(WithWorkers(4))
+	for _, alg := range allAlgorithms {
+		res, err := engine.Join(context.Background(), r, s, WithAlgorithm(alg))
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -29,13 +31,14 @@ func TestJoinPublicAPIAllAlgorithms(t *testing.T) {
 
 func TestJoinNilInputs(t *testing.T) {
 	r := GenerateUniform("R", 10, 1)
-	if _, err := Join(nil, r, Config{}); err == nil {
+	engine := New()
+	if _, err := engine.Join(context.Background(), nil, r); err == nil {
 		t.Fatal("nil private relation accepted")
 	}
-	if _, err := Join(r, nil, Config{}); err == nil {
+	if _, err := engine.Join(context.Background(), r, nil); err == nil {
 		t.Fatal("nil public relation accepted")
 	}
-	if _, _, err := JoinWithDiskStats(nil, r, Config{}); err == nil {
+	if _, _, err := engine.JoinWithDiskStats(context.Background(), nil, r); err == nil {
 		t.Fatal("nil private relation accepted by JoinWithDiskStats")
 	}
 }
@@ -43,10 +46,8 @@ func TestJoinNilInputs(t *testing.T) {
 func TestJoinWithDiskStats(t *testing.T) {
 	r := GenerateUniform("R", 3000, 3)
 	s := GenerateForeignKey("S", r, 6000, 4)
-	res, stats, err := JoinWithDiskStats(r, s, Config{
-		Workers: 4,
-		Disk:    DiskConfig{PageSize: 256, PageBudget: 8},
-	})
+	engine := New(WithWorkers(4), WithDisk(DiskConfig{PageSize: 256, PageBudget: 8}))
+	res, stats, err := engine.JoinWithDiskStats(context.Background(), r, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestJoinWithDiskStats(t *testing.T) {
 func TestJoinNUMATracking(t *testing.T) {
 	r := GenerateUniform("R", 4000, 5)
 	s := GenerateForeignKey("S", r, 8000, 6)
-	res, err := Join(r, s, Config{Workers: 8, TrackNUMA: true})
+	res, err := New(WithWorkers(8), WithNUMATracking()).Join(context.Background(), r, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +84,9 @@ func TestJoinSplitterStrategies(t *testing.T) {
 	s := GenerateSkewed("S", 12000, SkewLow80, 8)
 	var want mergejoin.MaxAggregate
 	mergejoin.ReferenceJoin(r.Tuples, s.Tuples, &want)
+	engine := New(WithWorkers(8))
 	for _, strategy := range []SplitterStrategy{SplitterEquiCost, SplitterEquiHeight, SplitterUniform} {
-		res, err := Join(r, s, Config{Workers: 8, Splitters: strategy})
+		res, err := engine.Join(context.Background(), r, s, WithSplitters(strategy))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,10 +102,11 @@ func TestJoinKindsPublicAPI(t *testing.T) {
 	r := GenerateSkewedWithDomain("R", 3000, 6000, SkewNone, 31)
 	s := GenerateSkewedWithDomain("S", 9000, 6000, SkewNone, 32)
 
+	engine := New(WithWorkers(4))
 	for _, kind := range []JoinKind{InnerJoin, LeftOuterJoin, SemiJoin, AntiJoin} {
 		var want mergejoin.MaxAggregate
 		mergejoin.ReferenceJoinKind(kind, r.Tuples, s.Tuples, &want)
-		res, err := Join(r, s, Config{Workers: 4, Kind: kind})
+		res, err := engine.Join(context.Background(), r, s, WithKind(kind))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -113,7 +116,7 @@ func TestJoinKindsPublicAPI(t *testing.T) {
 	}
 
 	// Hash joins only support inner joins.
-	if _, err := Join(r, s, Config{Algorithm: Wisconsin, Kind: SemiJoin}); err == nil {
+	if _, err := engine.Join(context.Background(), r, s, WithAlgorithm(Wisconsin), WithKind(SemiJoin)); err == nil {
 		t.Fatal("semi join on the Wisconsin hash join should be rejected")
 	}
 }
