@@ -174,25 +174,6 @@ type Run struct {
 // Len reports the number of tuples in the run.
 func (r *Run) Len() int { return len(r.Tuples) }
 
-// MinKey returns the smallest key of the run, or ok=false if the run is empty.
-func (r *Run) MinKey() (key uint64, ok bool) {
-	if len(r.Tuples) == 0 {
-		return 0, false
-	}
-	return r.Tuples[0].Key, true
-}
-
-// MaxKey returns the largest key of the run, or ok=false if the run is empty.
-func (r *Run) MaxKey() (key uint64, ok bool) {
-	if len(r.Tuples) == 0 {
-		return 0, false
-	}
-	return r.Tuples[len(r.Tuples)-1].Key, true
-}
-
-// IsSorted reports whether the run's tuples are in non-decreasing key order.
-func (r *Run) IsSorted() bool { return IsSortedByKey(r.Tuples) }
-
 // IsSortedByKey reports whether tuples are in non-decreasing key order.
 func IsSortedByKey(tuples []Tuple) bool {
 	for i := 1; i < len(tuples); i++ {
@@ -201,15 +182,6 @@ func IsSortedByKey(tuples []Tuple) bool {
 		}
 	}
 	return true
-}
-
-// TotalLen sums the lengths of the given runs.
-func TotalLen(runs []*Run) int {
-	total := 0
-	for _, r := range runs {
-		total += r.Len()
-	}
-	return total
 }
 
 // KeyHistogram counts the number of tuples per key. It is intended for test

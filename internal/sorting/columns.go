@@ -3,13 +3,16 @@ package sorting
 import "repro/internal/relation"
 
 // Columnar (structure-of-arrays) run generation for the batch execution path.
-// SortTuplesIntoColumns normally takes the packed path (packed.go). Its
-// fallback, for keys too wide to share a uint64 with the source index, sorts
-// the key column directly — in tandem with a permutation index column
-// recording where each key came from — and gathers the payload column
-// afterwards in one separate pass. Per element the radix swap cycle then
-// moves 12 bytes (8-byte key + 4-byte index) instead of the 16-byte tuple,
-// and every histogram pass streams over a pure uint64 column.
+// SortTuplesIntoColumns normally takes the packed path (packed.go), which
+// deinterleaves the payloads beside the packed keys in its first scatter and
+// finishes each first-level bucket, payloads included, while the bucket is
+// cache-resident. Its fallback, for keys too wide to share a uint64 with the
+// source index, sorts the key column directly — in tandem with a permutation
+// index column recording where each key came from — and gathers the payload
+// column from the source afterwards in one separate pass. Per element the
+// radix swap cycle then moves 12 bytes (8-byte key + 4-byte index) instead
+// of the 16-byte tuple, and every histogram pass streams over a pure uint64
+// column.
 //
 // The tandem routines reuse the machinery of sort.go unchanged in structure —
 // the same digits, cutoffs, American-flag swap and IntroSort leaves — so the
@@ -20,34 +23,62 @@ import "repro/internal/relation"
 // dstKeys receives the keys in ascending order and dstPays the payloads in
 // the same permutation. The AoS→SoA deinterleave is fused with the first
 // radix digit — one sequential read of the 16-byte tuples feeding 256
-// streaming key-column write cursors — so the representation change costs no
-// separate pass over the data. perm is optional scratch of at least len(src)
-// int32s, used only by the tandem fallback; nil allocates there.
+// streaming write cursors — so the representation change costs no separate
+// pass over the data. perm is optional scratch of at least
+// len(src) int32s, used only by the tandem fallback; nil allocates there.
+// The packed path's staging buffer (at most stageCap uint64s) is allocated
+// per call; SortTuplesIntoColumnsWith lets a caller lease both instead.
 func SortTuplesIntoColumns(src []relation.Tuple, dstKeys, dstPays []uint64, perm []int32) {
-	SortTuplesIntoColumnsWith(src, dstKeys, dstPays, func(n int) []int32 {
-		if perm == nil {
-			return make([]int32, n)
-		}
-		return perm
-	})
+	SortTuplesIntoColumnsWith(src, dstKeys, dstPays, permScratch(perm))
 }
 
-// SortTuplesIntoColumnsWith is SortTuplesIntoColumns with the permutation
-// scratch supplied on demand: permFor(n) must return at least n int32s and is
-// called only when the keys are too wide for the packed path, so a caller
-// leasing from a pool pays for the buffer only on the tandem fallback.
-func SortTuplesIntoColumnsWith(src []relation.Tuple, dstKeys, dstPays []uint64, permFor func(n int) []int32) {
+// Scratch supplies the optional buffers of SortTuplesIntoColumnsWith on
+// demand, so a caller leasing from a pool pays only for what the input
+// needs. One sort asks for at most one buffer:
+//
+//   - Perm(n) must return at least n = len(src) int32s. Only the tandem
+//     fallback, for keys too wide to pack, asks for it, at every size.
+//   - Stage(m) must return at least m uint64s, m <= stageCap. Only the
+//     packed path asks for it, on inputs of at least localMinTuples, sized
+//     to its largest bucket-local bucket.
+type Scratch interface {
+	Perm(n int) []int32
+	Stage(m int) []uint64
+}
+
+// permScratch is the Scratch of SortTuplesIntoColumns: a caller-provided
+// permutation buffer (nil allocates one) and a freshly allocated stage.
+type permScratch []int32
+
+func (s permScratch) Perm(n int) []int32 {
+	if s == nil {
+		return make([]int32, n)
+	}
+	return s
+}
+
+func (permScratch) Stage(m int) []uint64 { return make([]uint64, m) }
+
+// SortTuplesIntoColumnsWith is SortTuplesIntoColumns with its scratch
+// supplied on demand by scratch (see Scratch).
+func SortTuplesIntoColumnsWith(src []relation.Tuple, dstKeys, dstPays []uint64, scratch Scratch) {
+	sortColumns(src, dstKeys, dstPays, scratch, localMinTuples)
+}
+
+// sortColumns is SortTuplesIntoColumnsWith with the packed path's
+// bucket-local threshold as a parameter (see sortTuplesPacked).
+func sortColumns(src []relation.Tuple, dstKeys, dstPays []uint64, scratch Scratch, localMin int) {
 	n := len(src)
 	dstKeys = dstKeys[:n]
 	dstPays = dstPays[:n]
 
 	maxKey := maxKeyOf(src)
 	if idxBits, ok := packedIndexBits(n, maxKey); ok {
-		sortTuplesPacked(src, dstKeys, dstPays, maxKey, idxBits)
+		sortTuplesPacked(src, dstKeys, dstPays, maxKey, idxBits, scratch, localMin)
 		return
 	}
 
-	perm := permFor(n)[:n]
+	perm := scratch.Perm(n)[:n]
 
 	if n <= minRadixSize {
 		for i, t := range src {

@@ -11,16 +11,20 @@ import (
 // its narrow elements with a second array in every swap cycle and insertion
 // shift — two cache lines touched and two bounds checks where the AoS sort
 // touches one. When the key domain leaves enough low bits free (the paper's
-// datasets use 32-bit keys in 64-bit slots), the source index can be packed
-// into those bits instead:
+// datasets use 32-bit keys in 64-bit slots), a row locator can be packed into
+// those bits instead:
 //
-//	packed[i] = key << idxBits | sourceIndex
+//	packed = key << idxBits | locator
 //
 // and the sort runs over ONE uint64 array — 8 bytes moved per element
-// against the AoS sort's 16 and the tandem path's 12-in-two-arrays — with
-// the index recovered by a mask when the payload column is gathered. Equal
-// keys tie-break on the packed index, which makes this path stable as a side
-// effect (the contract stays "not stable"; the tandem fallback is not).
+// against the AoS sort's 16 and the tandem path's 12-in-two-arrays. The
+// locator is where the first scatter put the tuple's payload — inside the
+// tuple's own first-level bucket — or, in chunks small enough for the source
+// to stay cache-resident and in buckets too large to, its source index; each
+// payload is recovered by a mask as its bucket finishes (see
+// sortTuplesPacked). Locators rise with the source
+// index among equal keys, which makes this path stable as a side effect (the
+// contract stays "not stable"; the tandem fallback is not).
 //
 // The fallback condition is exact: packing applies iff the maximum key and
 // the index width together fit in 64 bits, so full-width keys silently take
@@ -113,12 +117,43 @@ func insertionSortU64(packed []uint64) {
 	}
 }
 
-// sortTuplesPacked is the packed path of SortTuplesIntoColumns: the AoS→SoA
+// stageCap is the most values a bucket-local bucket may hold, and so the
+// largest staging buffer one packed sort asks for: 1<<17 uint64s, 1 MiB. It
+// keeps uniform 32-bit keys bucket-local up to 2^24-tuple chunks, whose
+// first-level buckets hold ~65K values (1<<16 sent about half of them back to
+// the source gather); such a bucket's packed values, payloads and staging
+// copy (1.5 MiB together) stay resident in a 2 MiB L2 while it is finished.
+const stageCap = 1 << 17
+
+// localMinTuples is the smallest chunk the packed sort finishes bucket-local.
+// The bucket-local scatter writes each payload as a second stream beside its
+// packed key. While the source chunk (16 bytes a tuple) is largely
+// cache-resident, that stream costs more than the random gather from the
+// source it replaces. Measured on a 2-core Xeon VM with 2 MiB of L2 per core,
+// bucket-local finishing took +7% ns/tuple at 2^18 tuples and +20% at 2^19,
+// but -7% at 2^20 and about -20% from 2^21 up.
+const localMinTuples = 1 << 20
+
+// sortTuplesPacked is the packed path of SortTuplesIntoColumns. The AoS→SoA
 // deinterleave, the first radix digit and the index packing fuse into one
-// scatter pass; dstPays doubles as the packed scratch until the final unpack
-// writes it (reading each slot just before overwriting it, so no extra
-// buffer is needed).
-func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey uint64, idxBits int) {
+// scatter pass that writes each packed key into dstPays (the packed scratch
+// until the end) and each payload into dstKeys at the same position. The
+// sort then finishes one first-level bucket at a time and writes that
+// bucket's slice of both output columns right away, so no later pass leaves
+// the bucket.
+//
+// From localMin tuples up most buckets are bucket-local: when the first digit
+// holds key bits only (shift >= idxBits) and the bucket holds at most
+// stageCap values, the packed low bits carry the scatter position instead of
+// the source index. Positions rise with the source index inside a bucket, so
+// equal keys still tie-break in source order, and the payload of each sorted
+// value is read from the bucket's own slice of dstKeys rather than from src —
+// a gather confined to a cache-resident range instead of a random read over
+// the whole chunk. The remaining buckets (narrow key domains, whose first digit includes index
+// bits, and skewed buckets above stageCap) keep the source index and gather
+// from src, as do all buckets of a smaller chunk. SortTuplesIntoColumnsWith
+// passes localMin = localMinTuples; tests lower it.
+func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey uint64, idxBits int, scratch Scratch, localMin int) {
 	n := len(src)
 	packed := dstPays
 	maxPacked := maxKey<<idxBits | uint64(n-1)
@@ -144,6 +179,18 @@ func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey ui
 	for i, t := range src {
 		histogram[int((t.Key<<idxBits|uint64(i))>>shift)&radixMask]++
 	}
+	// local[b] is all ones for a bucket-local bucket: the scatter then swaps
+	// the source index in the packed low bits for the scatter position.
+	var local [radixBuckets]uint64
+	stageLen := 0
+	if shift >= idxBits && n >= localMin {
+		for b, c := range histogram {
+			if c <= stageCap {
+				local[b] = ^uint64(0)
+				stageLen = max(stageLen, c)
+			}
+		}
+	}
 	var cursors [radixBuckets]int
 	sum := 0
 	for b := 0; b < radixBuckets; b++ {
@@ -151,18 +198,84 @@ func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey ui
 		sum += histogram[b]
 	}
 	bounds := cursors
-	for i, t := range src {
-		p := t.Key<<idxBits | uint64(i)
-		b := int(p>>shift) & radixMask
-		packed[cursors[b]] = p
-		cursors[b]++
+	if stageLen == 0 {
+		// No bucket-local bucket: every payload is gathered from src.
+		for i, t := range src {
+			p := t.Key<<idxBits | uint64(i)
+			b := int(p>>shift) & radixMask
+			packed[cursors[b]] = p
+			cursors[b]++
+		}
+	} else {
+		for i, t := range src {
+			p := t.Key<<idxBits | uint64(i)
+			b := int(p>>shift) & radixMask
+			c := cursors[b]
+			packed[c] = p ^ (uint64(i^c) & local[b])
+			dstKeys[c] = t.Payload
+			cursors[b]++
+		}
+	}
+
+	var stage []uint64
+	if stageLen > 0 {
+		stage = scratch.Stage(stageLen)
 	}
 	var sc wideScratch
-	sortBucketsU64(packed, bounds[:], cursors[:], shift, &sc)
-	for i, p := range packed {
-		dstKeys[i] = p >> idxBits
-		dstPays[i] = src[p&mask].Payload
+	for b := 0; b < radixBuckets; b++ {
+		// Per-bucket slices, not dst[lo+j]: the gather loops are bound by
+		// their loads, and the extra index arithmetic measured ~10% slower.
+		keys, part := dstKeys[bounds[b]:cursors[b]], packed[bounds[b]:cursors[b]]
+		if local[b] == 0 {
+			sortPackedBucket(part, shift, &sc)
+			for j, p := range part {
+				keys[j] = p >> idxBits
+				part[j] = src[p&mask].Payload
+			}
+			continue
+		}
+		sorted := stage[:len(part)]
+		if len(part) > wideBuckets {
+			scatterPackedBucket(part, sorted, shift-radixBits, &sc)
+		} else {
+			sortPackedBucket(part, shift, &sc)
+			copy(sorted, part)
+		}
+		// Both passes stay inside the bucket: the payloads are read from
+		// their scatter positions before the keys overwrite them.
+		for j, p := range sorted {
+			part[j] = dstKeys[p&mask]
+		}
+		for j, p := range sorted {
+			keys[j] = p >> idxBits
+		}
 	}
+}
+
+// scatterPackedBucket sorts part into dst (of equal length) with one
+// out-of-place counting scatter on the digit at shift, then finishes the
+// sub-buckets in dst with sortPackedBucket. It replaces the in-place
+// American-flag level for bucket-local buckets, whose staging buffer is
+// there anyway: sequential reads and cache-resident random writes instead of
+// dependent swap chains.
+func scatterPackedBucket(part, dst []uint64, shift int, sc *wideScratch) {
+	var histogram [radixBuckets]int
+	for _, p := range part {
+		histogram[int(p>>shift)&radixMask]++
+	}
+	var next [radixBuckets]int
+	sum := 0
+	for b := 0; b < radixBuckets; b++ {
+		next[b] = sum
+		sum += histogram[b]
+	}
+	bounds := next
+	for _, p := range part {
+		b := int(p>>shift) & radixMask
+		dst[next[b]] = p
+		next[b]++
+	}
+	sortBucketsU64(dst, bounds[:], next[:], shift, sc)
 }
 
 // sortPackedBucket finishes one bucket left over from a radix level at shift.
