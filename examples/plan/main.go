@@ -13,8 +13,9 @@
 // a GroupAggregate that — sitting directly above the key-ordered P-MPSM
 // output — runs as a streaming merge-based aggregation without ever building
 // a hash table. The same plan is then re-run with the first join switched to
-// the radix hash join, whose unordered output makes the aggregate fall back
-// to hashing: identical results, different machinery.
+// the radix hash join, whose unordered output makes the aggregate buffer the
+// join's output and sort it at the end: identical results, different
+// machinery.
 //
 // Run with:
 //

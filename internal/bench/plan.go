@@ -13,7 +13,7 @@ import (
 func init() {
 	register(Experiment{
 		Name:  "plan",
-		Title: "Operator plans: streaming merge aggregation vs materialize + hash aggregation over the MPSM join",
+		Title: "Operator plans: streaming merge aggregation vs materialize + sort aggregation over the MPSM join",
 		Run:   runPlanExperiment,
 		JSON:  planJSON,
 	})
@@ -34,7 +34,7 @@ type PlanAggRun struct {
 // PlanReport is the machine-readable report of the plan experiment
 // (BENCH_plan.json): a GroupAggregate above a P-MPSM join executed once as
 // the fused streaming merge aggregation over the join's key-ordered output,
-// and once as materialize-the-projection-then-hash-aggregate. Speedup > 1
+// and once as materialize-the-projection-then-sort-aggregate. Speedup > 1
 // means streaming wins.
 type PlanReport struct {
 	GeneratedAt string       `json:"generated_at"`
@@ -47,7 +47,7 @@ type PlanReport struct {
 
 // planAggPlan builds the measured plan: GroupAggregate(SUM) directly above
 // the join for the streaming strategy, or above an explicit projection (which
-// materializes the join output first, forcing the hash path) otherwise.
+// materializes the join output first, forcing the sort path) otherwise.
 func planAggPlan(r, s *mpsm.Relation, streaming bool) *mpsm.Plan {
 	p := mpsm.NewPlan()
 	j := p.Join(p.Scan(r), p.Scan(s))
@@ -65,7 +65,7 @@ func planAggPlan(r, s *mpsm.Relation, streaming bool) *mpsm.Plan {
 // allocation.
 func measurePlanAgg(engine *mpsm.Engine, r, s *mpsm.Relation, streaming bool) (PlanAggRun, error) {
 	plan := planAggPlan(r, s, streaming)
-	strategy := "materialize+hash"
+	strategy := "materialize+sort"
 	if streaming {
 		strategy = "streaming merge"
 	}
@@ -146,10 +146,10 @@ func runPlanExperiment(cfg Config, w io.Writer) error {
 			fmt.Sprintf("%.1f", run.AllocBytesPerOp/1024))
 	}
 	tbl.flush()
-	fmt.Fprintf(w, "\nstreaming merge aggregation is %.2fx the speed of materialize+hash (GROUP BY over %d keys, |R|=%d, |S|=%d)\n",
+	fmt.Fprintf(w, "\nstreaming merge aggregation is %.2fx the speed of materialize+sort (GROUP BY over %d keys, |R|=%d, |S|=%d)\n",
 		rep.Speedup, rep.Runs[0].Groups, rep.RSize, rep.SSize)
 	if cfg.Verbose {
-		fmt.Fprintln(w, "expected shape: streaming wins by skipping the intermediate materialization and the hash table; its allocations stay flat in the group count")
+		fmt.Fprintln(w, "expected shape: streaming wins by skipping the intermediate materialization and its sort; both strategies draw their working memory from the scratch pool, so allocations stay flat in the group count")
 	}
 	return nil
 }

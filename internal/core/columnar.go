@@ -41,7 +41,7 @@ func sortChunkIntoColumnRun(chunk relation.Chunk, srcNode int, presorted bool, w
 	if skippedSort {
 		batch.Deinterleave(chunk.Tuples, run.Keys, run.Payloads)
 	} else {
-		sortIntoColumns(chunk.Tuples, run, lease)
+		sorting.SortTuplesIntoColumnsLeased(chunk.Tuples, run.Keys, run.Payloads, lease)
 	}
 
 	if tracker := w.Tracker(); tracker != nil {
@@ -58,37 +58,6 @@ func sortChunkIntoColumnRun(chunk relation.Chunk, srcNode int, presorted bool, w
 		}
 	}
 	return run
-}
-
-// sortIntoColumns sorts src into the run's columns. The sort's scratch is
-// leased only when the sort asks for it — the packed path's staging buffer
-// (chunks of 2^20 tuples and more; at most 1 MiB, sized to the largest
-// bucket-local bucket) or the tandem fallback's permutation for keys too
-// wide to pack — and handed straight back, so the next chunk sorted in the
-// same join reuses it.
-func sortIntoColumns(src []relation.Tuple, run *batch.Run, lease *memory.Lease) {
-	sc := leaseScratch{lease: lease}
-	sorting.SortTuplesIntoColumnsWith(src, run.Keys, run.Payloads, &sc)
-	lease.PutInt32s(sc.perm)
-	lease.PutUint64s(sc.stage)
-}
-
-// leaseScratch serves a sort's scratch from the join's lease and remembers
-// it for the hand-back.
-type leaseScratch struct {
-	lease *memory.Lease
-	perm  []int32
-	stage []uint64
-}
-
-func (s *leaseScratch) Perm(n int) []int32 {
-	s.perm = s.lease.Int32s(n)
-	return s.perm
-}
-
-func (s *leaseScratch) Stage(m int) []uint64 {
-	s.stage = s.lease.Uint64s(m)
-	return s.stage
 }
 
 // workerScratches leases one kernel scratch per worker for the match phase.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/result"
 	"repro/internal/sched"
 	"repro/internal/sink"
+	"repro/internal/sorting"
 )
 
 // PMPSM executes the range-partitioned massively parallel sort-merge join
@@ -92,7 +93,7 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	phase3 := rt.Phase(ctx, "phase 3", func(ctx context.Context, w *sched.Worker) {
 		part := partitions[w.ID()]
 		run := batch.NewRun(w.ID(), opts.Topology.NodeOfWorker(w.ID()), len(part), lease)
-		sortIntoColumns(part, run, lease)
+		sorting.SortTuplesIntoColumnsLeased(part, run.Keys, run.Payloads, lease)
 		lease.PutTuples(part)
 		privateRuns[w.ID()] = run
 		if tracker := w.Tracker(); tracker != nil {

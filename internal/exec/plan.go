@@ -34,7 +34,7 @@ const (
 	// NodeGroupAggregate groups its input by key and aggregates the payload
 	// (sum, min, max or count). Directly above an MPSM join it runs as a
 	// streaming merge-based aggregation over the join's key-ordered output;
-	// otherwise it falls back to hash aggregation.
+	// otherwise it sorts its input and folds runs of equal keys.
 	NodeGroupAggregate
 	// NodeSink terminates the plan in a user sink that receives the raw
 	// joined pairs of its input join. A sink node must be the plan root and
@@ -70,13 +70,17 @@ type AggMode int
 
 const (
 	// AggAuto follows the input join's output order: streaming merge
-	// aggregation over key-ordered MPSM output, hash aggregation otherwise.
+	// aggregation over key-ordered MPSM output, the sink that buffers and
+	// sorts the join's output (AggHash) otherwise.
 	AggAuto AggMode = iota
 	// AggMerge forces the streaming merge-based aggregation. It is correct
 	// over any input order (segments seal whenever the order restarts) but
 	// only fast over key-ordered output.
 	AggMerge
-	// AggHash forces the hash aggregation.
+	// AggHash forces the aggregation for unordered output: every worker
+	// buffers its tuples and the join's end sorts and folds them
+	// (sink.HashGroups). The name, and its "hash" spelling in EXPLAIN, date
+	// from when that sink built a hash table.
 	AggHash
 )
 

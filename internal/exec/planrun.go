@@ -255,9 +255,11 @@ func (e *planExec) runMap(n PlanNode) (*relation.Relation, bool, error) {
 
 // runAggregate groups its input by key. Directly above a join the aggregation
 // fuses into the join's sink — streaming and merge-based over the key-ordered
-// output of the MPSM variants, hash-based over the unordered output of the
-// hash joins. Above an already-materialized tuple input it hash-aggregates
-// the relation.
+// output of the MPSM variants, buffered and sorted at the join's end over the
+// unordered output of the hash joins. Above an already-materialized tuple
+// input it sorts the relation in chunks, one per worker, folds each chunk's
+// runs of equal keys and merges the chunks. Every path draws its result from
+// the plan lease.
 func (e *planExec) runAggregate(n PlanNode) (*relation.Relation, bool, error) {
 	in := n.Inputs[0]
 	if e.plan.Nodes[in].Kind == NodeJoin {
@@ -272,13 +274,12 @@ func (e *planExec) runAggregate(n PlanNode) (*relation.Relation, bool, error) {
 		if merge {
 			snk = sink.NewMergeGroups(n.Agg, e.lease)
 		} else {
-			snk = sink.NewHashGroups(n.Agg)
+			snk = sink.NewHashGroups(n.Agg, e.lease)
 		}
 		if _, err := e.runJoin(in, snk); err != nil {
 			return nil, false, err
 		}
-		_, merged := snk.(*sink.MergeGroups)
-		return relation.New("groups", snk.Groups()), merged, nil
+		return relation.New("groups", snk.Groups()), true, nil
 	}
 	rel, err := e.materialize(in)
 	if err != nil {
@@ -287,7 +288,7 @@ func (e *planExec) runAggregate(n PlanNode) (*relation.Relation, bool, error) {
 	if err := e.boundary(); err != nil {
 		return nil, false, err
 	}
-	return relation.New("groups", sink.AggregateTuples(rel.Tuples, n.Agg)), false, nil
+	return relation.New("groups", sink.AggregateTuples(rel.Tuples, n.Agg, e.workers(), e.lease)), true, nil
 }
 
 // KeyOrderedOutput reports whether the algorithm's per-worker output stream

@@ -1,6 +1,9 @@
 package sorting
 
-import "repro/internal/relation"
+import (
+	"repro/internal/memory"
+	"repro/internal/relation"
+)
 
 // Columnar (structure-of-arrays) run generation for the batch execution path.
 // SortTuplesIntoColumns normally takes the packed path (packed.go), which
@@ -27,7 +30,8 @@ import "repro/internal/relation"
 // pass over the data. perm is optional scratch of at least
 // len(src) int32s, used only by the tandem fallback; nil allocates there.
 // The packed path's staging buffer (at most stageCap uint64s) is allocated
-// per call; SortTuplesIntoColumnsWith lets a caller lease both instead.
+// per call; SortTuplesIntoColumnsLeased leases both from a memory lease
+// instead, and SortTuplesIntoColumnsWith takes them from any Scratch.
 func SortTuplesIntoColumns(src []relation.Tuple, dstKeys, dstPays []uint64, perm []int32) {
 	SortTuplesIntoColumnsWith(src, dstKeys, dstPays, permScratch(perm))
 }
@@ -63,6 +67,37 @@ func (permScratch) Stage(m int) []uint64 { return make([]uint64, m) }
 // supplied on demand by scratch (see Scratch).
 func SortTuplesIntoColumnsWith(src []relation.Tuple, dstKeys, dstPays []uint64, scratch Scratch) {
 	sortColumns(src, dstKeys, dstPays, scratch, localMinTuples)
+}
+
+// SortTuplesIntoColumnsLeased is SortTuplesIntoColumnsWith with its scratch
+// leased from lease only when the sort asks for it — the packed path's
+// staging buffer (chunks of 2^20 tuples and more; at most 1 MiB, sized to
+// the largest bucket-local bucket) or the tandem fallback's permutation for
+// keys too wide to pack — and handed straight back, so the next sort drawing
+// on the same lease reuses it. A nil lease allocates.
+func SortTuplesIntoColumnsLeased(src []relation.Tuple, dstKeys, dstPays []uint64, lease *memory.Lease) {
+	sc := leaseScratch{lease: lease}
+	SortTuplesIntoColumnsWith(src, dstKeys, dstPays, &sc)
+	lease.PutInt32s(sc.perm)
+	lease.PutUint64s(sc.stage)
+}
+
+// leaseScratch serves a sort's scratch from a lease and remembers it for the
+// hand-back.
+type leaseScratch struct {
+	lease *memory.Lease
+	perm  []int32
+	stage []uint64
+}
+
+func (s *leaseScratch) Perm(n int) []int32 {
+	s.perm = s.lease.Int32s(n)
+	return s.perm
+}
+
+func (s *leaseScratch) Stage(m int) []uint64 {
+	s.stage = s.lease.Uint64s(m)
+	return s.stage
 }
 
 // sortColumns is SortTuplesIntoColumnsWith with the packed path's

@@ -189,10 +189,11 @@ func (p *Plan) Project(in PlanNode, fn func(r, s Tuple) Tuple) PlanNode {
 
 // GroupAggregate adds a group-by-key aggregation of its input. Directly
 // above a B-MPSM, P-MPSM or D-MPSM join it runs as a streaming merge-based
-// aggregation that exploits the join's key-ordered output and builds no hash
-// table; above hash joins or materialized inputs it hash-aggregates. The
-// output is one tuple {Key: group key, Payload: aggregate} per distinct key,
-// in ascending key order.
+// aggregation that exploits the join's key-ordered output; above hash joins
+// or materialized inputs it radix-sorts its input into key-ordered runs and
+// folds and merges them. No path builds a hash table. The output is one tuple
+// {Key: group key, Payload: aggregate} per distinct key, in ascending key
+// order.
 func (p *Plan) GroupAggregate(in PlanNode, agg Agg) PlanNode {
 	id, ok := p.input(in, "GroupAggregate")
 	if !ok {
